@@ -19,7 +19,6 @@ from .data import (
 from .model import (
     ModelConfig,
     ModelParams,
-    build_variant,
     forward,
     forward_batch,
     init_model,
@@ -31,7 +30,6 @@ from .training import (
     Metrics,
     TrainConfig,
     evaluate,
-    loss,
     ten_fold_cv,
     train_epoch,
     train_model,
@@ -41,8 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EegSegment", "FoldReport", "Metrics", "ModelConfig", "ModelParams",
-    "Recording", "SegmentSet", "TrainConfig", "__version__", "build_variant",
-    "evaluate", "forward", "forward_batch", "init_model", "load_dataset",
-    "load_params", "loss", "save_dataset", "save_params", "segment_recording",
-    "synth_generate", "ten_fold_cv", "train_epoch", "train_model",
+    "Recording", "SegmentSet", "TrainConfig", "__version__", "evaluate",
+    "forward", "forward_batch", "init_model", "load_dataset", "load_params",
+    "save_dataset", "save_params", "segment_recording", "synth_generate",
+    "ten_fold_cv", "train_epoch", "train_model",
 ]

@@ -308,41 +308,6 @@ def conv1d(x: Node, w: Node, stride: int = 1, bias: Node | None = None) -> Node:
     return Node(out, "conv1d", parents, bwd)
 
 
-def bias_add(a: Node, b: Node) -> Node:
-    """Broadcast-add a bias vector along trailing axes (alias of `add`)."""
-    return add(a, b)
-
-
-PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "matmul": matmul,
-    "transpose": transpose,
-    "relu": relu,
-    "exp": exp,
-    "log": log,
-    "softmax": softmax,
-    "mean": mean,
-    "sum": reduce_sum,
-    "concat": concat,
-    "reshape": reshape,
-    "slice": slice_,
-    "conv1d": conv1d,
-    "bias_add": bias_add,
-}
-
-
-def primitive_forward(op: str, inputs, **kwargs) -> Node:
-    """Apply the named primitive to a list of input nodes."""
-    if op not in PRIMITIVES:
-        raise KeyError(f"unknown primitive {op!r}")
-    if op == "concat":
-        return concat(inputs, **kwargs)
-    return PRIMITIVES[op](*inputs, **kwargs)
-
-
 def _toposort(root: Node):
     order = []
     seen = set()

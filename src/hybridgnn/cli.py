@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .model import (
     save_params,
 )
 from .graphs import common_adjacency
-from .training import TrainConfig, evaluate, ten_fold_cv, train_model
+from .training import TrainConfig, evaluate, format_table, ten_fold_cv, train_model
 from .rng import subseed
 
 # dataset presets: hyperparameters and windowing as published for each corpus
@@ -56,25 +57,14 @@ PRESETS = {
     },
 }
 
+# model and training defaults are the config dataclasses' own; extractor_layers
+# follows feature_dim and is not a CLI key
+_MODEL_FIELDS = [f for f in fields(ModelConfig) if f.name != "extractor_layers"]
+MODEL_KEYS = tuple(f.name for f in _MODEL_FIELDS)
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+
 DEFAULTS = {
-    # model
-    "n_channels": 19,
-    "feature_dim": 32,
-    "proj_dim": 16,
-    "out_dim": 16,
-    "steps": 2,
-    "region_steps": 1,
-    "n_regions": 5,
-    "variant": "full",
-    "classifier_hidden": 0,
-    "inst_softmax_axis": "col",
-    # training
-    "learning_rate": 5e-3,
-    "max_epochs": 10,
-    "batch_size": 128,
-    "lam": 1e-5,
-    "seed": 0,
-    "optimizer": "adam",
+    **{f.name: f.default for f in _MODEL_FIELDS + list(fields(TrainConfig))},
     # data
     "manifest": None,
     "synth": False,
@@ -87,13 +77,6 @@ DEFAULTS = {
     "preset": None,
     "folds_parallel": 1,
 }
-
-MODEL_KEYS = (
-    "n_channels", "feature_dim", "proj_dim", "out_dim", "steps",
-    "region_steps", "n_regions", "variant", "classifier_hidden",
-    "inst_softmax_axis",
-)
-TRAIN_KEYS = ("learning_rate", "max_epochs", "batch_size", "lam", "seed", "optimizer")
 
 SWEEP_GRIDS = {
     "n_regions": [2, 3, 4, 5, 6, 7, 8],
@@ -257,13 +240,7 @@ def cmd_ablation(args) -> int:
         reports[variant] = report.to_json_dict()
         rows.append((variant, report.mean))
         print(f"variant {variant}: mean acc {report.mean['acc']:.4f}", flush=True)
-    lines = [f"{'variant':>8}  {'ACC':>8}  {'REC':>8}  {'PRE':>8}  {'F1':>8}"]
-    for variant, mean in rows:
-        lines.append(
-            f"{variant:>8}  {mean['acc']:8.4f}  {mean['rec']:8.4f}  "
-            f"{mean['pre']:8.4f}  {mean['f1']:8.4f}"
-        )
-    table = "\n".join(lines)
+    table = format_table("variant", 8, rows)
     with open(os.path.join(args.out, "ablation.txt"), "w") as fh:
         fh.write(table + "\n")
     _write_json(os.path.join(args.out, "ablation.json"), reports)

@@ -17,9 +17,11 @@ from . import autodiff as ad
 
 Z_SCORE_STD_FLOOR = 1e-8
 
-# (kernel, stride, in_channels, out_channels); the final out_channels is the
-# per-electrode feature count.
-DEFAULT_LAYER_SPECS = ((7, 4, 1, 16), (5, 2, 16, 32))
+
+def default_extractor_layers(feature_dim: int) -> tuple:
+    """Layer specs (kernel, stride, in_channels, out_channels); the last
+    layer's out_channels is the per-electrode feature count."""
+    return ((7, 4, 1, 16), (5, 2, 16, feature_dim))
 
 
 @dataclass
@@ -28,10 +30,6 @@ class ExtractorParams:
     w shaped (kernel, in, out) and b shaped (out,)."""
 
     layers: list  # list of (spec tuple, weight Node, bias Node)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.layers[-1][0][3]
 
     def validate(self) -> None:
         prev_out = 1
@@ -53,7 +51,7 @@ def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nda
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_extractor(rng: np.random.Generator, layer_specs=DEFAULT_LAYER_SPECS) -> ExtractorParams:
+def init_extractor(rng: np.random.Generator, layer_specs) -> ExtractorParams:
     layers = []
     for spec in layer_specs:
         k, stride, c_in, c_out = spec
@@ -96,11 +94,3 @@ def extract_features(segment: np.ndarray, params: ExtractorParams) -> ad.Node:
     for (_k, stride, _c_in, _c_out), w, b in params.layers:
         x = ad.relu(ad.conv1d(x, w, stride=stride, bias=b))
     return ad.mean(x, axis=-2)
-
-
-def conv1d(signal: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Valid 1-D convolution of two plain vectors (the extractor primitive)."""
-    sig = np.asarray(signal, dtype=np.float64)
-    ker = np.asarray(kernel, dtype=np.float64)
-    out = ad.conv1d(ad.constant(sig[:, None]), ad.constant(ker[:, None, None]), stride=stride)
-    return out.value[:, 0]

@@ -31,20 +31,3 @@ def gcn_propagate(a_hat: ad.Node, feats: ad.Node, weights: list[ad.Node]) -> ad.
         z = ad.matmul(a_hat, z)
         out = ad.add(out, ad.matmul(z, w))
     return out
-
-
-def branch_outputs(
-    feats: ad.Node,
-    a_common_hat: ad.Node,
-    a_inst_hat: ad.Node,
-    common_weights: list[ad.Node],
-    inst_weights: list[ad.Node],
-) -> tuple[ad.Node, ad.Node]:
-    """Propagate the shared features through both normalized adjacencies."""
-    d_common = common_weights[0].value.shape[1]
-    d_inst = inst_weights[0].value.shape[1]
-    if d_common != d_inst:
-        raise ad.ShapeMismatch("branch_outputs", (d_common,), (d_inst,))
-    y_common = gcn_propagate(a_common_hat, feats, common_weights)
-    y_inst = gcn_propagate(a_inst_hat, feats, inst_weights)
-    return y_common, y_inst

@@ -1,26 +1,29 @@
 """Full dual-branch model: extractor, graph branches, region pooling, head.
 
-The architecture is assembled per variant: the common branch uses one learned
-adjacency shared by all inputs, the individualized branch builds an adjacency
-per input, and region pooling can be attached to either branch. Ablation
+Each branch is the same block over a different graph: the common branch uses
+one learned adjacency shared by all inputs, the individualized branch builds
+an adjacency per input, and either block can add region pooling. Ablation
 variants a..e plus the default "full" arrangement (pooling on the
-individualized branch only) control which parameter groups exist.
+individualized branch only) switch branches and pooling on or off, which
+fixes the parameter groups; `param_shapes` derives every tensor's name and
+shape from the config alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .extractor import ExtractorParams, extract_features, glorot, init_extractor
+from .extractor import ExtractorParams, default_extractor_layers, extract_features, glorot, init_extractor
 from .gcn import gcn_propagate, init_gcn_stack
 from .graphs import common_adjacency, individual_adjacency, init_common_adjacency_raw, normalize_adjacency
-from .pooling import PoolingParams, assignment_matrix, init_pooling, merge, pool, region_conv, unpool
+from .pooling import PoolingParams, assignment_matrix, init_pooling, pool, region_conv, unpool
 from .rng import substream
 
 N_CLASSES = 2
@@ -36,10 +39,6 @@ _VARIANT_LAYOUT = {
     "e": {"common": True, "inst": True, "pool_inst": True, "pool_common": True},
     "full": {"common": True, "inst": True, "pool_inst": True, "pool_common": False},
 }
-
-
-def default_extractor_layers(feature_dim: int):
-    return ((7, 4, 1, 16), (5, 2, 16, feature_dim))
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,7 @@ class ModelConfig:
         return 2 * self.out_dim if (self.layout["common"] and self.layout["inst"]) else self.out_dim
 
     def to_dict(self) -> dict:
-        return {
-            "n_channels": self.n_channels,
-            "feature_dim": self.feature_dim,
-            "proj_dim": self.proj_dim,
-            "out_dim": self.out_dim,
-            "steps": self.steps,
-            "region_steps": self.region_steps,
-            "n_regions": self.n_regions,
-            "variant": self.variant,
-            "classifier_hidden": self.classifier_hidden,
-            "inst_softmax_axis": self.inst_softmax_axis,
-            "extractor_layers": [list(s) for s in self.extractor_layers],
-        }
+        return {**asdict(self), "extractor_layers": [list(s) for s in self.extractor_layers]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -150,146 +137,124 @@ class ModelParams:
         out.append(("head.b", self.head_b))
         return out
 
-    def tensors(self) -> list:
-        return [node for _name, node in self.named_tensors()]
-
     def group_of(self, name: str) -> str:
         return name.split(".")[0]
 
 
-def build_variant(config: ModelConfig) -> dict:
-    """Manifest of the parameter groups a variant trains, plus head width."""
-    layout = config.layout
-    groups = ["extractor"]
+def param_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of every tensor the config trains, in `named_tensors()` order."""
+    f, d, layout = config.feature_dim, config.out_dim, config.layout
+    shapes = {}
+    for i, (k, _stride, c_in, c_out) in enumerate(config.extractor_layers):
+        shapes[f"extractor.{i}.w"] = (k, c_in, c_out)
+        shapes[f"extractor.{i}.b"] = (c_out,)
     if layout["common"]:
-        groups += ["common_adj", "cgnn"]
+        shapes["common_adj.raw"] = (config.n_channels, config.n_channels)
+        shapes.update({f"cgnn.{l}": (f, d) for l in range(config.steps + 1)})
     if layout["inst"]:
-        groups += ["inst_adj", "ignn"]
-    if layout["pool_inst"]:
-        groups.append("pool_inst")
-    if layout["pool_common"]:
-        groups.append("pool_common")
-    groups.append("head")
-    return {
-        "variant": config.variant,
-        "head_input_dim": config.head_input_dim,
-        "groups": tuple(groups),
-    }
+        shapes["inst_adj.w1"] = (f, config.proj_dim)
+        shapes["inst_adj.w2"] = (f, config.proj_dim)
+        shapes.update({f"ignn.{l}": (f, d) for l in range(config.steps + 1)})
+    for tag in ("pool_inst", "pool_common"):
+        if layout[tag]:
+            shapes[f"{tag}.proj"] = (f, config.n_regions)
+            shapes.update({f"{tag}.region.{l}": (f, d) for l in range(config.region_steps + 1)})
+    width = config.head_input_dim
+    if config.classifier_hidden > 0:
+        shapes["head.hidden_w"] = (width, config.classifier_hidden)
+        shapes["head.hidden_b"] = (config.classifier_hidden,)
+        width = config.classifier_hidden
+    shapes["head.w"] = (width, N_CLASSES)
+    shapes["head.b"] = (N_CLASSES,)
+    return shapes
+
+
+def _assemble(config: ModelConfig, nodes: dict) -> ModelParams:
+    """ModelParams over a name -> node mapping holding every `param_shapes` name."""
+
+    def stack(prefix, steps):
+        return [nodes[f"{prefix}.{l}"] for l in range(steps + 1)]
+
+    def pooling(tag):
+        if not config.layout[tag]:
+            return None
+        return PoolingParams(nodes[f"{tag}.proj"], stack(f"{tag}.region", config.region_steps))
+
+    return ModelParams(
+        extractor=ExtractorParams([
+            (spec, nodes[f"extractor.{i}.w"], nodes[f"extractor.{i}.b"])
+            for i, spec in enumerate(config.extractor_layers)
+        ]),
+        head_w=nodes["head.w"],
+        head_b=nodes["head.b"],
+        common_adj_raw=nodes.get("common_adj.raw"),
+        inst_w1=nodes.get("inst_adj.w1"),
+        inst_w2=nodes.get("inst_adj.w2"),
+        common_weights=stack("cgnn", config.steps) if config.layout["common"] else None,
+        inst_weights=stack("ignn", config.steps) if config.layout["inst"] else None,
+        pool_inst=pooling("pool_inst"),
+        pool_common=pooling("pool_common"),
+        hidden_w=nodes.get("head.hidden_w"),
+        hidden_b=nodes.get("head.hidden_b"),
+    )
+
+
+def _numbered(prefix: str, nodes: list) -> dict:
+    return {f"{prefix}.{l}": node for l, node in enumerate(nodes)}
 
 
 def init_model(config: ModelConfig, seed: int) -> ModelParams:
-    """Fresh parameters for the configured variant, from named seed streams."""
-    layout = config.layout
-    extractor = init_extractor(substream(seed, "init", "extractor"), config.extractor_layers)
+    """Fresh parameters for the configured variant, one named seed stream per group."""
 
-    common_raw = common_w = None
+    def stream(group):
+        return substream(seed, "init", group)
+
+    shapes = param_shapes(config)
+    f, d, layout = config.feature_dim, config.out_dim, config.layout
+    nodes = {}
+    for i, (_spec, w, b) in enumerate(init_extractor(stream("extractor"), config.extractor_layers).layers):
+        nodes[f"extractor.{i}.w"], nodes[f"extractor.{i}.b"] = w, b
     if layout["common"]:
-        common_raw = init_common_adjacency_raw(substream(seed, "init", "common_adj"), config.n_channels)
-        common_w = init_gcn_stack(
-            substream(seed, "init", "cgnn"), config.steps, config.feature_dim, config.out_dim
-        )
-    inst_w1 = inst_w2 = inst_w = None
+        nodes["common_adj.raw"] = init_common_adjacency_raw(stream("common_adj"), config.n_channels)
+        nodes.update(_numbered("cgnn", init_gcn_stack(stream("cgnn"), config.steps, f, d)))
     if layout["inst"]:
-        gen = substream(seed, "init", "inst_adj")
-        inst_w1 = ad.param(glorot(gen, (config.feature_dim, config.proj_dim), config.feature_dim, config.proj_dim))
-        inst_w2 = ad.param(glorot(gen, (config.feature_dim, config.proj_dim), config.feature_dim, config.proj_dim))
-        inst_w = init_gcn_stack(
-            substream(seed, "init", "ignn"), config.steps, config.feature_dim, config.out_dim
-        )
-    pool_inst = pool_common = None
-    if layout["pool_inst"]:
-        pool_inst = init_pooling(
-            substream(seed, "init", "pool_inst"),
-            config.feature_dim, config.n_regions, config.region_steps, config.out_dim,
-        )
-    if layout["pool_common"]:
-        pool_common = init_pooling(
-            substream(seed, "init", "pool_common"),
-            config.feature_dim, config.n_regions, config.region_steps, config.out_dim,
-        )
-
-    width = config.head_input_dim
-    gen = substream(seed, "init", "head")
-    hidden_w = hidden_b = None
-    if config.classifier_hidden > 0:
-        hidden_w = ad.param(glorot(gen, (width, config.classifier_hidden), width, config.classifier_hidden))
-        hidden_b = ad.param(np.zeros(config.classifier_hidden))
-        width = config.classifier_hidden
-    head_w = ad.param(glorot(gen, (width, N_CLASSES), width, N_CLASSES))
-    head_b = ad.param(np.zeros(N_CLASSES))
-
-    return ModelParams(
-        extractor=extractor,
-        head_w=head_w,
-        head_b=head_b,
-        common_adj_raw=common_raw,
-        inst_w1=inst_w1,
-        inst_w2=inst_w2,
-        common_weights=common_w,
-        inst_weights=inst_w,
-        pool_inst=pool_inst,
-        pool_common=pool_common,
-        hidden_w=hidden_w,
-        hidden_b=hidden_b,
-    )
+        gen = stream("inst_adj")
+        for name in ("inst_adj.w1", "inst_adj.w2"):
+            nodes[name] = ad.param(glorot(gen, shapes[name], *shapes[name]))
+        nodes.update(_numbered("ignn", init_gcn_stack(stream("ignn"), config.steps, f, d)))
+    for tag in ("pool_inst", "pool_common"):
+        if layout[tag]:
+            pooling = init_pooling(stream(tag), f, config.n_regions, config.region_steps, d)
+            nodes[f"{tag}.proj"] = pooling.assign_proj
+            nodes.update(_numbered(f"{tag}.region", pooling.region_weights))
+    gen = stream("head")
+    for name, shape in shapes.items():
+        if name.startswith("head."):  # weights draw in order; biases start at zero
+            nodes[name] = ad.param(np.zeros(shape) if len(shape) == 1 else glorot(gen, shape, *shape))
+    return _assemble(config, nodes)
 
 
 def bind_params(config: ModelConfig, nodes: list) -> ModelParams:
     """Assemble a ModelParams whose tensors ARE the given nodes.
 
-    Nodes must match `named_tensors()` order and shapes for the config; used
-    by gradient checking, which supplies its own leaf nodes.
+    Nodes must match `param_shapes(config)` in order and shape; used by
+    gradient checking, which supplies its own leaf nodes.
     """
-    template = init_model(config, seed=0)
-    named = template.named_tensors()
-    if len(nodes) != len(named):
-        raise ValueError(f"expected {len(named)} tensors, got {len(nodes)}")
-    lookup = {}
-    for (name, t_node), node in zip(named, nodes):
-        if tuple(node.value.shape) != tuple(t_node.value.shape):
-            raise ValueError(f"tensor {name}: shape {node.value.shape} != {t_node.value.shape}")
-        lookup[name] = node
-
-    extractor = ExtractorParams(
-        [
-            (spec, lookup[f"extractor.{i}.w"], lookup[f"extractor.{i}.b"])
-            for i, (spec, _w, _b) in enumerate(template.extractor.layers)
-        ]
-    )
-
-    def stack(prefix, source):
-        return None if source is None else [lookup[f"{prefix}.{l}"] for l in range(len(source))]
-
-    def pooling(tag, source):
-        if source is None:
-            return None
-        return PoolingParams(
-            lookup[f"{tag}.proj"],
-            [lookup[f"{tag}.region.{l}"] for l in range(len(source.region_weights))],
-        )
-
-    return ModelParams(
-        extractor=extractor,
-        head_w=lookup["head.w"],
-        head_b=lookup["head.b"],
-        common_adj_raw=lookup.get("common_adj.raw"),
-        inst_w1=lookup.get("inst_adj.w1"),
-        inst_w2=lookup.get("inst_adj.w2"),
-        common_weights=stack("cgnn", template.common_weights),
-        inst_weights=stack("ignn", template.inst_weights),
-        pool_inst=pooling("pool_inst", template.pool_inst),
-        pool_common=pooling("pool_common", template.pool_common),
-        hidden_w=lookup.get("head.hidden_w"),
-        hidden_b=lookup.get("head.hidden_b"),
-    )
+    shapes = param_shapes(config)
+    if len(nodes) != len(shapes):
+        raise ValueError(f"expected {len(shapes)} tensors, got {len(nodes)}")
+    for (name, shape), node in zip(shapes.items(), nodes):
+        if node.value.shape != shape:
+            raise ValueError(f"tensor {name}: shape {node.value.shape} != {shape}")
+    return _assemble(config, dict(zip(shapes, nodes)))
 
 
 def _head(y_all: ad.Node, params: ModelParams) -> ad.Node:
     """relu, mean over the channel axis, linear stack, softmax."""
     h = ad.mean(ad.relu(y_all), axis=-2)
     if params.hidden_w is not None:
-        h = ad.relu(ad.bias_add(ad.matmul(h, params.hidden_w), params.hidden_b))
-    logits = ad.bias_add(ad.matmul(h, params.head_w), params.head_b)
+        h = ad.relu(ad.add(ad.matmul(h, params.hidden_w), params.hidden_b))
+    logits = ad.add(ad.matmul(h, params.head_w), params.head_b)
     return ad.softmax(logits, axis=-1)
 
 
@@ -309,43 +274,25 @@ def forward_batch(segments: np.ndarray, params: ModelParams, config: ModelConfig
     feats = extract_features(segments, params.extractor)  # (B, N, F_d)
 
     diag = {"adj_inst": None, "assign": []}
-    y_common = y_inst = None
-    adj_common = adj_common_hat = adj_inst = adj_inst_hat = None
-    if layout["common"]:
-        adj_common = common_adjacency(params.common_adj_raw)
-        adj_common_hat = normalize_adjacency(adj_common)
-        y_common = gcn_propagate(adj_common_hat, feats, params.common_weights)
+    branches = []  # (raw adjacency, propagation weights, pooling or None)
     if layout["inst"]:
         adj_inst = individual_adjacency(feats, params.inst_w1, params.inst_w2, config.inst_softmax_axis)
-        adj_inst_hat = normalize_adjacency(adj_inst)
-        y_inst = gcn_propagate(adj_inst_hat, feats, params.inst_weights)
         diag["adj_inst"] = adj_inst
+        branches.append((adj_inst, params.inst_weights, params.pool_inst))
+    if layout["common"]:
+        branches.append((common_adjacency(params.common_adj_raw), params.common_weights, params.pool_common))
 
-    up_inst = up_common = None
-    if layout["pool_inst"]:
-        assign = assignment_matrix(adj_inst_hat, feats, params.pool_inst)
-        adj_r, feats_r = pool(assign, adj_inst, feats)
-        up_inst = unpool(assign, region_conv(adj_r, feats_r, params.pool_inst))
-        diag["assign"].append(assign)
-    if layout["pool_common"]:
-        assign = assignment_matrix(adj_common_hat, feats, params.pool_common)
-        adj_r, feats_r = pool(assign, adj_common, feats)
-        up_common = unpool(assign, region_conv(adj_r, feats_r, params.pool_common))
-        diag["assign"].append(assign)
-
-    if config.variant == "a":
-        y_all = y_common
-    elif config.variant == "b":
-        y_all = y_inst
-    elif config.variant == "full":
-        y_all = merge(y_inst, up_inst, y_common)
-    else:  # c, d, e
-        if up_inst is not None:
-            y_inst = ad.add(y_inst, up_inst)
-        if up_common is not None:
-            y_common = ad.add(y_common, up_common)
-        y_all = ad.concat([y_inst, y_common], axis=-1)
-
+    outputs = []
+    for adj, weights, pooling in branches:
+        adj_hat = normalize_adjacency(adj)
+        y = gcn_propagate(adj_hat, feats, weights)
+        if pooling is not None:
+            assign = assignment_matrix(adj_hat, feats, pooling)
+            adj_r, feats_r = pool(assign, adj, feats)
+            y = ad.add(y, unpool(assign, region_conv(adj_r, feats_r, pooling)))
+            diag["assign"].append(assign)
+        outputs.append(y)
+    y_all = outputs[0] if len(outputs) == 1 else ad.concat(outputs, axis=-1)
     return _head(y_all, params), diag
 
 
@@ -393,11 +340,6 @@ class ParamsConfigMismatchError(ParamsFileError):
     """Embedded config conflicts with the config expected at load time."""
 
 
-def _expected_shapes(config: ModelConfig) -> dict:
-    structural = init_model(config, seed=0)
-    return {name: node.value.shape for name, node in structural.named_tensors()}
-
-
 def save_params(path: str, params: ModelParams, config: ModelConfig) -> None:
     """Atomically write params + config; round-trips bit-exactly."""
     named = params.named_tensors()
@@ -442,35 +384,32 @@ def load_params(path: str, expected_config: ModelConfig = None):
     try:
         header = json.loads(data[pos : pos + header_len].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
-        table = header["tensors"]
+        table = [(t["name"], tuple(t["shape"]), t["offset"]) for t in header["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise ParamsCorruptError(f"{path}: unreadable header ({exc})") from None
     pos += header_len
 
-    expected = _expected_shapes(config)
-    if [t["name"] for t in table] != list(expected):
+    shapes = param_shapes(config)
+    if [name for name, _shape, _offset in table] != list(shapes):
         raise ParamsShapeError(f"{path}: tensor names disagree with embedded config")
-    loaded = {}
-    for entry in table:
-        shape = tuple(entry["shape"])
-        if shape != expected[entry["name"]]:
-            raise ParamsShapeError(
-                f"{path}: tensor {entry['name']} has shape {shape}, config implies {expected[entry['name']]}"
-            )
-        start = pos + entry["offset"]
-        nbytes = 8 * int(np.prod(shape)) if shape else 8
-        if start + nbytes > len(data):
-            raise ParamsCorruptError(f"{path}: truncated payload at tensor {entry['name']}")
-        arr = np.frombuffer(data[start : start + nbytes], dtype="<f8").reshape(shape)
-        loaded[entry["name"]] = ad.param(arr.copy())
+    payload = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(data) - pos < payload:
+        raise ParamsCorruptError(f"{path}: truncated payload ({len(data) - pos} of {payload} bytes)")
+    if len(data) - pos > payload:
+        raise ParamsCorruptError(f"{path}: {len(data) - pos - payload} trailing bytes after the payload")
+    nodes = {}
+    offset = 0
+    for name, shape, file_offset in table:
+        if shape != shapes[name]:
+            raise ParamsShapeError(f"{path}: tensor {name} has shape {shape}, config implies {shapes[name]}")
+        if file_offset != offset:
+            raise ParamsCorruptError(f"{path}: tensor {name} at offset {file_offset}, expected {offset}")
+        count = math.prod(shape)
+        nodes[name] = ad.param(np.frombuffer(data, "<f8", count, pos + offset).reshape(shape).copy())
+        offset += 8 * count
 
     if expected_config is not None and expected_config.to_dict() != config.to_dict():
         raise ParamsConfigMismatchError(
             f"{path}: embedded config does not match the runtime config"
         )
-
-    params = init_model(config, seed=0)
-    for name, node in params.named_tensors():
-        node.value = loaded[name].value
-        node.grad = None
-    return params, config
+    return _assemble(config, nodes), config

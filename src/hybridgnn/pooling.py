@@ -3,8 +3,8 @@
 Channels are softly assigned to a fixed number of regions (rows of the
 assignment matrix are membership distributions), features and adjacency are
 coarsened through the assignment, a short graph convolution runs at region
-level, and the result is projected back to channels and merged with the
-branch output.
+level, and the result is projected back to channels, where the model adds
+it into the branch output.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ class PoolingParams:
 
     assign_proj: ad.Node  # (F_d, N_r)
     region_weights: list  # L' + 1 nodes of shape (F_d, d)
-
-    @property
-    def n_regions(self) -> int:
-        return self.assign_proj.value.shape[1]
 
 
 def init_pooling(
@@ -62,26 +58,3 @@ def unpool(assign: ad.Node, y_regions: ad.Node) -> ad.Node:
     """Project region embeddings back to channels: each channel gets the
     membership-weighted convex combination of region rows."""
     return ad.matmul(assign, y_regions)
-
-
-def merge(y_inst: ad.Node, y_unpooled: ad.Node, y_common: ad.Node) -> ad.Node:
-    """Add the unpooled region features into the individualized branch and
-    concatenate with the common branch (individualized half first)."""
-    if y_inst.value.shape != y_unpooled.value.shape:
-        raise ad.ShapeMismatch("merge", y_inst.value.shape, y_unpooled.value.shape)
-    if y_common.value.shape != y_inst.value.shape:
-        raise ad.ShapeMismatch("merge", y_inst.value.shape, y_common.value.shape)
-    return ad.concat([ad.add(y_inst, y_unpooled), y_common], axis=-1)
-
-
-def pooled_branch(
-    adj_raw: ad.Node, adj_hat: ad.Node, feats: ad.Node, y_branch: ad.Node, params: PoolingParams
-) -> tuple[ad.Node, ad.Node]:
-    """Full pool -> region conv -> unpool -> additive merge for one branch.
-
-    Returns (branch output with region context added, assignment matrix).
-    """
-    assign = assignment_matrix(adj_hat, feats, params)
-    adj_regions, feats_regions = pool(assign, adj_raw, feats)
-    y_regions = region_conv(adj_regions, feats_regions, params)
-    return ad.add(y_branch, unpool(assign, y_regions)), assign

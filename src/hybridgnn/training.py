@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -40,14 +40,7 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "batch_size": self.batch_size,
-            "lam": self.lam,
-            "seed": self.seed,
-            "optimizer": self.optimizer,
-        }
+        return asdict(self)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -63,19 +56,9 @@ class TrainingDivergedError(RuntimeError):
         )
 
 
-def loss(probs: ad.Node, label: int, r_list, lam: float) -> ad.Node:
-    """Per-sample objective: -log p[label] - lam * sum(R log R) over matrices."""
-    n_classes = probs.value.shape[-1]
-    if not 0 <= label < n_classes:
-        raise ValueError(f"label {label} out of range for {n_classes} classes")
-    out = ad.scale(ad.log(ad.slice_(probs, (int(label),))), -1.0)
-    for r in r_list:
-        out = ad.add(out, ad.scale(ad.reduce_sum(ad.mul(r, ad.log(r))), -lam))
-    return ad.reshape(out, ())
-
-
 def batch_loss(probs: ad.Node, labels: np.ndarray, r_list, lam: float) -> ad.Node:
-    """Mean of the per-sample objective over a batch (probs shaped (B, C))."""
+    """Batch mean of the per-sample objective -log p[label] - lam * sum(R log R),
+    the entropy term summed over every assignment matrix (probs shaped (B, C))."""
     n, n_classes = probs.value.shape
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= n_classes:
@@ -244,6 +227,10 @@ def mean_assignment_entropy(params: ModelParams, mcfg: ModelConfig, x: np.ndarra
     return total / count if count else float("nan")
 
 
+# the metrics that fold summaries and tables report, in column order
+SUMMARY_KEYS = ("acc", "rec", "pre", "f1")
+
+
 @dataclass
 class FoldReport:
     folds: list  # Metrics per fold
@@ -256,9 +243,8 @@ class FoldReport:
 
     @classmethod
     def from_folds(cls, folds, fold_subjects, mcfg: ModelConfig, tcfg: TrainConfig):
-        keys = ("acc", "rec", "pre", "f1")
-        mean = {k: float(np.mean([getattr(m, k) for m in folds])) for k in keys}
-        std = {k: float(np.std([getattr(m, k) for m in folds])) for k in keys}
+        mean = {k: float(np.mean([getattr(m, k) for m in folds])) for k in SUMMARY_KEYS}
+        std = {k: float(np.std([getattr(m, k) for m in folds])) for k in SUMMARY_KEYS}
         pooled = Metrics(
             tp=sum(m.tp for m in folds),
             fp=sum(m.fp for m in folds),
@@ -289,20 +275,17 @@ class FoldReport:
         }
 
     def to_table(self) -> str:
-        lines = [f"{'fold':>4}  {'ACC':>8}  {'REC':>8}  {'PRE':>8}  {'F1':>8}"]
-        for i, m in enumerate(self.folds):
-            lines.append(f"{i:>4}  {m.acc:8.4f}  {m.rec:8.4f}  {m.pre:8.4f}  {m.f1:8.4f}")
-        lines.append(
-            f"{'mean':>4}  {self.mean['acc']:8.4f}  {self.mean['rec']:8.4f}  "
-            f"{self.mean['pre']:8.4f}  {self.mean['f1']:8.4f}"
-        )
-        lines.append(
-            f"{'std':>4}  {self.std['acc']:8.4f}  {self.std['rec']:8.4f}  "
-            f"{self.std['pre']:8.4f}  {self.std['f1']:8.4f}"
-        )
-        p = self.pooled
-        lines.append(f"{'pool':>4}  {p.acc:8.4f}  {p.rec:8.4f}  {p.pre:8.4f}  {p.f1:8.4f}")
-        return "\n".join(lines)
+        rows = [(i, m.to_dict()) for i, m in enumerate(self.folds)]
+        rows += [("mean", self.mean), ("std", self.std), ("pool", self.pooled.to_dict())]
+        return format_table("fold", 4, rows)
+
+
+def format_table(label_header: str, label_width: int, rows) -> str:
+    """Fixed-width metrics table; rows are (label, mapping with acc/rec/pre/f1)."""
+    lines = [f"{label_header:>{label_width}}  " + "  ".join(f"{k.upper():>8}" for k in SUMMARY_KEYS)]
+    for label, values in rows:
+        lines.append(f"{label:>{label_width}}  " + "  ".join(f"{values[k]:8.4f}" for k in SUMMARY_KEYS))
+    return "\n".join(lines)
 
 
 def partition_subjects(subjects, seed: int, n_folds: int = 10):

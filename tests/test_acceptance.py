@@ -176,7 +176,7 @@ def _ignn_gpum_pipeline(n_channels=6):
         a_r, x_r = pl.pool(assign, adj, feats)
         y_prime = ad.add(y, pl.unpool(assign, pl.region_conv(a_r, x_r, pool_params)))
         pooled = ad.mean(ad.relu(y_prime), axis=-2)
-        probs = ad.softmax(ad.bias_add(ad.matmul(pooled, head_w), head_b), axis=-1)
+        probs = ad.softmax(ad.add(ad.matmul(pooled, head_w), head_b), axis=-1)
         return y_prime.value[0], probs.value[0]
 
     return run

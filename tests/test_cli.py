@@ -134,6 +134,15 @@ def test_eval_roundtrip_and_graph_export(tmp_path):
     assert common.shape == (4, 4) and common.min() >= 0.0
 
 
+def test_eval_refuses_params_with_trailing_bytes(tmp_path, capsys):
+    fixture = os.path.join(os.path.dirname(__file__), "data", "params_v1_tiny_e.bin")
+    path = str(tmp_path / "params.bin")
+    with open(path, "wb") as fh:
+        fh.write(open(fixture, "rb").read() + bytes(24))
+    assert run("eval", "--out", str(tmp_path / "ev"), "--params", path, *TINY_FLAGS) == 2
+    assert "trailing bytes" in capsys.readouterr().err
+
+
 def test_synth_command_writes_loadable_manifest(tmp_path):
     out = str(tmp_path / "ds")
     assert run(

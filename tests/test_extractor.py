@@ -9,6 +9,9 @@ from hybridgnn import autodiff as ad
 from hybridgnn import extractor as ex
 
 
+DEFAULT_SPECS = ex.default_extractor_layers(32)
+
+
 def naive_conv1d(signal, kernel, stride):
     # independent sliding-window oracle
     t, k = len(signal), len(kernel)
@@ -18,50 +21,59 @@ def naive_conv1d(signal, kernel, stride):
 
 
 def test_conv1d_hand_case():
-    npt.assert_allclose(ex.conv1d([1.0, 2.0, 3.0], [1.0, 1.0], stride=1), [3.0, 5.0])
+    # one input and one output channel: (T, 1) signal, (k, 1, 1) kernel
+    x = ad.constant(np.array([[1.0], [2.0], [3.0]]))
+    w = ad.constant(np.ones((2, 1, 1)))
+    npt.assert_allclose(ad.conv1d(x, w, stride=1).value[:, 0], [3.0, 5.0])
 
 
 def test_conv1d_unit_kernel_is_identity():
     sig = np.arange(8.0)
-    npt.assert_allclose(ex.conv1d(sig, [1.0], stride=1), sig)
+    out = ad.conv1d(ad.constant(sig[:, None]), ad.constant(np.ones((1, 1, 1))), stride=1)
+    npt.assert_allclose(out.value[:, 0], sig)
 
 
 def test_conv1d_output_length_formula():
-    out = ex.conv1d(np.ones(10), np.ones(4), stride=2)
-    assert out.shape == (4,)
+    out = ad.conv1d(ad.constant(np.ones((10, 1))), ad.constant(np.ones((4, 1, 1))), stride=2)
+    assert out.value.shape == (4, 1)
 
 
 def test_conv1d_matches_naive_oracle():
+    # every output channel is the sum over input channels of vector convolutions
     rng = np.random.default_rng(0)
     for _ in range(50):
         t = int(rng.integers(4, 40))
         k = int(rng.integers(1, min(t, 9) + 1))
         stride = int(rng.integers(1, 4))
-        sig = rng.normal(size=t)
-        ker = rng.normal(size=k)
-        npt.assert_allclose(ex.conv1d(sig, ker, stride), naive_conv1d(sig, ker, stride), atol=1e-12)
+        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        sig = rng.normal(size=(t, c_in))
+        ker = rng.normal(size=(k, c_in, c_out))
+        out = ad.conv1d(ad.constant(sig), ad.constant(ker), stride).value
+        for o in range(c_out):
+            expected = sum(naive_conv1d(sig[:, c], ker[:, c, o], stride) for c in range(c_in))
+            npt.assert_allclose(out[:, o], expected, atol=1e-12)
 
 
 def test_conv1d_signal_shorter_than_kernel():
     with pytest.raises(ad.ShapeMismatch):
-        ex.conv1d(np.ones(3), np.ones(5))
+        ad.conv1d(ad.constant(np.ones((3, 1))), ad.constant(np.ones((5, 1, 1))))
 
 
 def test_default_shape_contract():
-    params = ex.init_extractor(np.random.default_rng(0))
+    params = ex.init_extractor(np.random.default_rng(0), DEFAULT_SPECS)
     seg = np.random.default_rng(1).normal(size=(19, 1024))
     feats = ex.extract_features(seg, params)
     assert feats.value.shape == (19, 32)
 
 
 def test_zero_segment_gives_zero_features():
-    params = ex.init_extractor(np.random.default_rng(0))
+    params = ex.init_extractor(np.random.default_rng(0), DEFAULT_SPECS)
     feats = ex.extract_features(np.zeros((19, 256)), params)
     npt.assert_array_equal(feats.value, np.zeros((19, 32)))
 
 
 def test_electrode_permutation_equivariance_exact():
-    params = ex.init_extractor(np.random.default_rng(2))
+    params = ex.init_extractor(np.random.default_rng(2), DEFAULT_SPECS)
     rng = np.random.default_rng(3)
     seg = rng.normal(size=(19, 128))
     base = ex.extract_features(seg, params).value
@@ -72,14 +84,14 @@ def test_electrode_permutation_equivariance_exact():
 
 
 def test_feature_shape_independent_of_values():
-    params = ex.init_extractor(np.random.default_rng(4))
+    params = ex.init_extractor(np.random.default_rng(4), DEFAULT_SPECS)
     for scale in (0.0, 1.0, 100.0):
         seg = scale * np.random.default_rng(5).normal(size=(7, 300))
         assert ex.extract_features(seg, params).value.shape == (7, 32)
 
 
 def test_batched_matches_per_segment():
-    params = ex.init_extractor(np.random.default_rng(6))
+    params = ex.init_extractor(np.random.default_rng(6), DEFAULT_SPECS)
     rng = np.random.default_rng(7)
     segs = rng.normal(size=(4, 5, 96))
     stacked = ex.extract_features(segs, params).value
@@ -112,7 +124,7 @@ def test_parameter_gradients():
 
 
 def test_too_short_segment_names_failing_layer():
-    params = ex.init_extractor(np.random.default_rng(10))
+    params = ex.init_extractor(np.random.default_rng(10), DEFAULT_SPECS)
     with pytest.raises(ValueError, match="layer 0"):
         ex.extract_features(np.zeros((3, 5)), params)
     # first layer fits but leaves too little for the second

@@ -6,6 +6,7 @@ import pytest
 
 from hybridgnn import autodiff as ad
 from hybridgnn import gcn
+from hybridgnn import model as mdl
 from hybridgnn.graphs import normalize_adjacency
 
 from test_graphs import numpy_normalize
@@ -107,39 +108,41 @@ def test_shape_mismatch_rejected():
 
 
 def test_branch_outputs_runs_both_branches():
+    # the shared features through each branch's own adjacency and weights
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 3))
     a_c = rng.uniform(0, 1, size=(5, 5))
     a_i = rng.uniform(0, 1, size=(5, 5))
     cw = [rng.normal(size=(3, 2)) for _ in range(3)]
     iw = [rng.normal(size=(3, 2)) for _ in range(3)]
-    y_c, y_i = gcn.branch_outputs(
-        ad.constant(x),
-        normalize_adjacency(ad.constant(a_c)),
-        normalize_adjacency(ad.constant(a_i)),
-        _wrap(cw),
-        _wrap(iw),
-    )
+    y_c = gcn.gcn_propagate(normalize_adjacency(ad.constant(a_c)), ad.constant(x), _wrap(cw))
+    y_i = gcn.gcn_propagate(normalize_adjacency(ad.constant(a_i)), ad.constant(x), _wrap(iw))
     npt.assert_allclose(y_c.value, power_oracle(numpy_normalize(a_c), x, cw), atol=1e-10)
     npt.assert_allclose(y_i.value, power_oracle(numpy_normalize(a_i), x, iw), atol=1e-10)
 
 
 def test_branch_outputs_zero_weights_zero_branch():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(4, 3))
+    x = ad.constant(rng.normal(size=(4, 3)))
     a_hat = normalize_adjacency(ad.constant(rng.uniform(0, 1, size=(4, 4))))
     zeros = _wrap([np.zeros((3, 2)) for _ in range(2)])
     live = _wrap([rng.normal(size=(3, 2)) for _ in range(2)])
-    y_c, y_i = gcn.branch_outputs(ad.constant(x), a_hat, a_hat, zeros, live)
-    npt.assert_array_equal(y_c.value, np.zeros((4, 2)))
-    assert np.abs(y_i.value).max() > 0
+    npt.assert_array_equal(gcn.gcn_propagate(a_hat, x, zeros).value, np.zeros((4, 2)))
+    assert np.abs(gcn.gcn_propagate(a_hat, x, live).value).max() > 0
 
 
 def test_branch_outputs_rejects_mismatched_widths():
-    rng = np.random.default_rng(9)
-    x = ad.constant(rng.normal(size=(4, 3)))
-    a_hat = normalize_adjacency(ad.constant(rng.uniform(0, 1, size=(4, 4))))
+    # both branches take out_dim from one config: a common-branch stack of
+    # another width is refused at bind time, and by the head in forward
+    cfg = mdl.ModelConfig(
+        variant="c", n_channels=4, feature_dim=4, proj_dim=4, out_dim=3, n_regions=2,
+        extractor_layers=((5, 2, 1, 8), (3, 2, 8, 4)),
+    )
+    params = mdl.init_model(cfg, 0)
+    named = params.named_tensors()
+    nodes = [ad.param(np.ones((4, 5))) if n.startswith("cgnn.") else t for n, t in named]
+    with pytest.raises(ValueError, match="cgnn.0"):
+        mdl.bind_params(cfg, nodes)
+    params.common_weights = _wrap([np.ones((4, 5))] * len(params.common_weights))
     with pytest.raises(ad.ShapeMismatch):
-        gcn.branch_outputs(
-            x, a_hat, a_hat, _wrap([np.ones((3, 2))]), _wrap([np.ones((3, 5))])
-        )
+        mdl.forward_batch(np.random.default_rng(9).normal(size=(2, 4, 32)), params, cfg)

@@ -1,6 +1,10 @@
 """Model assembly tests: output contracts, variant manifests, serialization,
 and end-to-end gradients on a tiny configuration."""
 
+import json
+import os
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,6 +21,11 @@ TINY = dict(
 
 def tiny_config(variant="full", **over):
     return mdl.ModelConfig(variant=variant, **{**TINY, **over})
+
+
+def groups(cfg):
+    params = mdl.init_model(cfg, 0)
+    return {params.group_of(n) for n, _ in params.named_tensors()}
 
 
 def test_probs_are_distributions_for_all_variants():
@@ -58,14 +67,21 @@ def test_diagnostics_presence_per_variant():
 
 
 def test_variant_manifests():
-    man_a = mdl.build_variant(tiny_config("a"))
-    assert man_a["groups"] == ("extractor", "common_adj", "cgnn", "head")
-    assert man_a["head_input_dim"] == 3
-    man_full = mdl.build_variant(tiny_config("full"))
-    assert "pool_inst" in man_full["groups"] and "pool_common" not in man_full["groups"]
-    assert man_full["head_input_dim"] == 6
-    man_e = mdl.build_variant(tiny_config("e"))
-    assert "pool_inst" in man_e["groups"] and "pool_common" in man_e["groups"]
+    assert groups(tiny_config("a")) == {"extractor", "common_adj", "cgnn", "head"}
+    assert tiny_config("a").head_input_dim == 3
+    groups_full = groups(tiny_config("full"))
+    assert "pool_inst" in groups_full and "pool_common" not in groups_full
+    assert tiny_config("full").head_input_dim == 6
+    groups_e = groups(tiny_config("e"))
+    assert "pool_inst" in groups_e and "pool_common" in groups_e
+
+
+def test_param_shapes_follow_named_tensors_order():
+    for variant in mdl.VARIANTS:
+        for hidden in (0, 3):
+            cfg = tiny_config(variant, classifier_hidden=hidden)
+            named = mdl.init_model(cfg, 1).named_tensors()
+            assert [(n, t.value.shape) for n, t in named] == list(mdl.param_shapes(cfg).items())
 
 
 def test_variant_e_pools_are_independent():
@@ -79,7 +95,7 @@ def test_variant_e_pools_are_independent():
 def test_union_of_variant_groups_covers_full_parameter_set():
     union = set()
     for variant in mdl.VARIANTS:
-        union |= set(mdl.build_variant(tiny_config(variant))["groups"])
+        union |= groups(tiny_config(variant))
     assert union == {
         "extractor", "common_adj", "cgnn", "inst_adj", "ignn",
         "pool_inst", "pool_common", "head",
@@ -183,23 +199,78 @@ def test_wrong_magic_and_version_are_distinct_errors(tmp_path):
         mdl.load_params(path)
 
 
-def test_tampered_shape_table_detected(tmp_path):
-    import json as js
+def _rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of a parameter file, payload untouched."""
+    blob = open(path, "rb").read()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + hlen].decode())
+    edit(header)
+    new_header = json.dumps(header).encode()
+    open(path, "wb").write(blob[:8] + struct.pack("<Q", len(new_header)) + new_header + blob[16 + hlen :])
 
+
+def test_tampered_shape_table_detected(tmp_path):
     cfg = tiny_config()
     path = str(tmp_path / "params.bin")
     mdl.save_params(path, mdl.init_model(cfg, 15), cfg)
-    blob = open(path, "rb").read()
-    import struct
-
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
-    header = js.loads(blob[16 : 16 + hlen].decode())
-    header["tensors"][0]["shape"] = [1, 2, 3]
-    new_header = js.dumps(header).encode()
-    out = blob[:8] + struct.pack("<Q", len(new_header)) + new_header + blob[16 + hlen :]
-    open(path, "wb").write(out)
+    _rewrite_header(path, lambda h: h["tensors"][0].update(shape=[1, 2, 3]))
     with pytest.raises(mdl.ParamsShapeError):
         mdl.load_params(path)
+
+
+def test_trailing_bytes_are_corrupt(tmp_path):
+    cfg = tiny_config()
+    path = str(tmp_path / "params.bin")
+    mdl.save_params(path, mdl.init_model(cfg, 16), cfg)
+    with open(path, "ab") as fh:
+        fh.write(bytes(24))
+    with pytest.raises(mdl.ParamsCorruptError, match="trailing"):
+        mdl.load_params(path)
+
+
+@pytest.mark.parametrize("index, shift", [(0, 8), (1, 8), (-1, -8)])
+def test_non_contiguous_offsets_are_corrupt(tmp_path, index, shift):
+    # a gap before the first tensor, a gap between tensors, an overlap
+    cfg = tiny_config()
+    path = str(tmp_path / "params.bin")
+    mdl.save_params(path, mdl.init_model(cfg, 17), cfg)
+
+    def shift_offset(header):
+        header["tensors"][index]["offset"] += shift
+
+    _rewrite_header(path, shift_offset)
+    with pytest.raises(mdl.ParamsCorruptError, match="offset"):
+        mdl.load_params(path)
+
+
+def test_table_entry_missing_key_is_corrupt(tmp_path):
+    cfg = tiny_config()
+    path = str(tmp_path / "params.bin")
+    mdl.save_params(path, mdl.init_model(cfg, 18), cfg)
+    _rewrite_header(path, lambda h: h["tensors"][2].pop("offset"))
+    with pytest.raises(mdl.ParamsCorruptError, match="unreadable header"):
+        mdl.load_params(path)
+
+
+# version-1 file written before the parameter shape spec existed; it must keep
+# loading and saving to the same bytes
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "params_v1_tiny_e.bin")
+V1_CONFIG = tiny_config("e", classifier_hidden=3)
+V1_SEED = 2024
+
+
+def test_v1_fixture_loads_bit_exact():
+    loaded, _cfg = mdl.load_params(V1_FIXTURE, expected_config=V1_CONFIG)
+    fresh = mdl.init_model(V1_CONFIG, V1_SEED).named_tensors()
+    assert [n for n, _ in loaded.named_tensors()] == [n for n, _ in fresh]
+    for (_n, a), (_m, b) in zip(loaded.named_tensors(), fresh):
+        assert a.value.tobytes() == b.value.tobytes()
+
+
+def test_v1_fixture_bytes_reproduced_by_save(tmp_path):
+    path = str(tmp_path / "params.bin")
+    mdl.save_params(path, mdl.init_model(V1_CONFIG, V1_SEED), V1_CONFIG)
+    assert open(path, "rb").read() == open(V1_FIXTURE, "rb").read()
 
 
 def test_config_validation_bounds():

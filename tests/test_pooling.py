@@ -1,13 +1,17 @@
 """Region pooling tests: assignment stochasticity, coarsening oracle,
-unpooling semantics, merge layout, and end-to-end gradients."""
+unpooling semantics, the model's branch merge layout, and end-to-end
+gradients."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from hybridgnn import autodiff as ad
+from hybridgnn import model as mdl
 from hybridgnn import pooling as pl
-from hybridgnn.graphs import individual_adjacency, normalize_adjacency
+from hybridgnn.extractor import extract_features
+from hybridgnn.gcn import gcn_propagate
+from hybridgnn.graphs import common_adjacency, individual_adjacency, normalize_adjacency
 
 from test_graphs import numpy_normalize
 
@@ -107,32 +111,63 @@ def test_unpool_identical_rows_collapse():
     npt.assert_allclose(out, np.tile(v, (6, 1)), atol=1e-12)
 
 
-def test_merge_zero_context_preserves_branch():
-    rng = np.random.default_rng(8)
-    y_i = rng.normal(size=(5, 3))
-    y_c = rng.normal(size=(5, 3))
-    merged = pl.merge(ad.constant(y_i), ad.constant(np.zeros((5, 3))), ad.constant(y_c)).value
-    npt.assert_array_equal(merged[:, :3], y_i)
-    assert merged.shape == (5, 6)
+# --- branch merge inside the full model (pooling on the individualized branch)
+
+FULL = mdl.ModelConfig(
+    variant="full", n_channels=5, feature_dim=4, proj_dim=4, out_dim=3, n_regions=2,
+    extractor_layers=((5, 2, 1, 8), (3, 2, 8, 4)),
+)
 
 
-def test_merge_slice_recovers_common_half_bit_exact():
-    rng = np.random.default_rng(9)
-    y_i, y_u, y_c = (rng.normal(size=(4, 2)) for _ in range(3))
-    merged = pl.merge(ad.constant(y_i), ad.constant(y_u), ad.constant(y_c))
-    right = ad.slice_(merged, (slice(None), slice(2, 4)))
-    npt.assert_array_equal(right.value, y_c)
+def _merged(monkeypatch, params, segs):
+    """The merged branch outputs that `forward_batch` hands to the head."""
+    seen = {}
+    head = mdl._head
+
+    def spy(y_all, p):
+        seen["y_all"] = y_all.value
+        return head(y_all, p)
+
+    monkeypatch.setattr(mdl, "_head", spy)
+    mdl.forward_batch(segs, params, FULL)
+    return seen["y_all"]
+
+
+def test_merge_zero_context_preserves_branch(monkeypatch):
+    # zero region weights give zero region context, so the individualized
+    # half is the plain propagation output
+    segs = np.random.default_rng(8).normal(size=(2, 5, 32))
+    params = mdl.init_model(FULL, 8)
+    params.pool_inst.region_weights = [ad.param(np.zeros((4, 3))) for _ in range(2)]
+    feats = extract_features(segs, params.extractor)
+    adj = individual_adjacency(feats, params.inst_w1, params.inst_w2)
+    y_i = gcn_propagate(normalize_adjacency(adj), feats, params.inst_weights).value
+    merged = _merged(monkeypatch, params, segs)
+    npt.assert_array_equal(merged[..., :3], y_i)
+    assert merged.shape == (2, 5, 6)
+
+
+def test_merge_slice_recovers_common_half_bit_exact(monkeypatch):
+    segs = np.random.default_rng(9).normal(size=(2, 5, 32))
+    params = mdl.init_model(FULL, 9)
+    feats = extract_features(segs, params.extractor)
+    a_hat = normalize_adjacency(common_adjacency(params.common_adj_raw))
+    y_c = gcn_propagate(a_hat, feats, params.common_weights).value
+    npt.assert_array_equal(_merged(monkeypatch, params, segs)[..., 3:], y_c)
 
 
 def test_merge_rejects_mismatched_dims():
+    segs = np.random.default_rng(10).normal(size=(2, 5, 32))
+    # region context of another width than the branch output
+    params = mdl.init_model(FULL, 10)
+    params.pool_inst.region_weights = [ad.param(np.ones((4, 2))) for _ in range(2)]
     with pytest.raises(ad.ShapeMismatch):
-        pl.merge(
-            ad.constant(np.zeros((4, 2))), ad.constant(np.zeros((4, 3))), ad.constant(np.zeros((4, 2)))
-        )
+        mdl.forward_batch(segs, params, FULL)
+    # common branch over another number of nodes than the individualized one
+    params = mdl.init_model(FULL, 10)
+    params.common_adj_raw = ad.param(np.ones((4, 4)))
     with pytest.raises(ad.ShapeMismatch):
-        pl.merge(
-            ad.constant(np.zeros((4, 2))), ad.constant(np.zeros((4, 2))), ad.constant(np.zeros((5, 2)))
-        )
+        mdl.forward_batch(segs, params, FULL)
 
 
 def test_pooling_conserves_feature_mass():

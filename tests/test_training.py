@@ -14,42 +14,39 @@ from hybridgnn import training as tr
 from test_model import tiny_config
 
 
-def _assign_node(rows):
-    return ad.constant(np.asarray(rows, dtype=np.float64))
+def _one(probs, label, lam, *assign):
+    """batch_loss on a batch of one sample, one (N, N_r) matrix per `assign`."""
+    return tr.batch_loss(
+        ad.constant(np.asarray([probs], dtype=np.float64)), np.array([label]),
+        [ad.constant(np.asarray([a], dtype=np.float64)) for a in assign], lam,
+    )
 
 
 # --- loss --------------------------------------------------------------------
 
 
 def test_loss_zero_when_confident_and_one_hot_assignments():
-    probs = ad.constant(np.array([0.0, 1.0]))
-    assign = _assign_node([[1.0, 0.0], [0.0, 1.0]])
-    out = tr.loss(probs, 1, [assign], lam=0.5)
+    out = _one([0.0, 1.0], 1, 0.5, [[1.0, 0.0], [0.0, 1.0]])
     npt.assert_allclose(out.value, 0.0, atol=1e-12)
 
 
 def test_loss_uniform_assignment_entropy_value():
     # entropy term with uniform rows: lam * N * log(N_r)
     n, n_r, lam = 6, 3, 0.25
-    probs = ad.constant(np.array([0.0, 1.0]))
-    assign = _assign_node(np.full((n, n_r), 1.0 / n_r))
-    out = tr.loss(probs, 1, [assign], lam=lam)
+    out = _one([0.0, 1.0], 1, lam, np.full((n, n_r), 1.0 / n_r))
     npt.assert_allclose(out.value, lam * n * math.log(n_r), atol=1e-12)
 
 
 def test_loss_reduces_to_cross_entropy_when_lambda_zero():
-    probs = ad.constant(np.array([0.3, 0.7]))
-    assign = _assign_node([[0.5, 0.5]])
-    out = tr.loss(probs, 0, [assign], lam=0.0)
+    out = _one([0.3, 0.7], 0, 0.0, [[0.5, 0.5]])
     npt.assert_allclose(out.value, -math.log(0.3), atol=1e-12)
 
 
 def test_loss_label_out_of_range():
-    probs = ad.constant(np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="label"):
-        tr.loss(probs, 2, [], lam=0.0)
+        _one([0.5, 0.5], 2, 0.0)
     with pytest.raises(ValueError, match="label"):
-        tr.batch_loss(ad.constant(np.array([[0.5, 0.5]])), np.array([-1]), [], 0.0)
+        _one([0.5, 0.5], -1, 0.0)
 
 
 def test_batch_loss_is_mean_of_per_sample_losses():
@@ -60,8 +57,9 @@ def test_batch_loss_is_mean_of_per_sample_losses():
     assign = rng.dirichlet(np.ones(3), size=(4, 5))
     lam = 1e-2
     batched = tr.batch_loss(ad.constant(probs), labels, [ad.constant(assign)], lam)
+    # per sample: -log p[y] - lam * sum(R log R)
     singles = [
-        tr.loss(ad.constant(probs[i]), labels[i], [ad.constant(assign[i])], lam).value
+        -np.log(probs[i, labels[i]]) - lam * np.sum(assign[i] * np.log(assign[i]))
         for i in range(4)
     ]
     npt.assert_allclose(batched.value, np.mean(singles), atol=1e-12)
