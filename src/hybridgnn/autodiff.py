@@ -33,14 +33,16 @@ class ShapeMismatch(ValueError):
 class Node:
     """One vertex of the computation graph: a value and its gradient slot."""
 
-    __slots__ = ("value", "grad", "op", "parents", "needs_grad", "_backward")
+    __slots__ = ("value", "grad", "op", "parents", "needs_grad", "_backward", "kink")
 
-    def __init__(self, value, op="leaf", parents=(), backward=None, needs_grad=None):
+    def __init__(self, value, op="leaf", parents=(), backward=None, needs_grad=None, kink=None):
         self.value = value
         self.grad = None
         self.op = op
         self.parents = parents
         self._backward = backward
+        # for ops that apply relu: returns the smallest |pre-activation|
+        self.kink = kink
         if needs_grad is None:
             needs_grad = any(p.needs_grad for p in parents)
         self.needs_grad = needs_grad
@@ -149,7 +151,10 @@ def relu(a: Node) -> Node:
     def bwd(g):
         return (g * (a.value > 0.0),)
 
-    return Node(out, "relu", (a,), bwd)
+    def kink():
+        return float(np.abs(a.value).min())
+
+    return Node(out, "relu", (a,), bwd, kink=kink)
 
 
 def exp(a: Node) -> Node:
@@ -257,14 +262,32 @@ def slice_(a: Node, key) -> Node:
     return Node(out, "slice", (a,), bwd)
 
 
-def conv1d(x: Node, w: Node, stride: int = 1, bias: Node | None = None) -> Node:
+# bytes of im2col and output rows per block of conv1d: one block stays in a
+# core's L2 cache (set by timing B=128 19 x 1024 train steps)
+CONV_BLOCK_BYTES = 384 * 1024
+
+
+def conv1d(
+    x: Node,
+    w: Node,
+    stride: int = 1,
+    bias: Node | None = None,
+    relu: bool = False,
+    time_mean: bool = False,
+) -> Node:
     """Valid 1-D convolution over the time axis, channels last.
 
     x: (..., T, C_in); w: (k, C_in, C_out) -> (..., T_out, C_out) with
     T_out = (T - k)//stride + 1. Leading axes of x are independent signals
     (e.g. batch and electrode), never mixed by the kernel. An optional
-    (C_out,) bias is broadcast-added inside the op, sparing one elementwise
-    pass over the (large) activation.
+    (C_out,) bias is added inside the op.
+
+    The epilogue can be fused: `relu` applies relu in place on the output,
+    and `time_mean` returns the mean over T_out, shaped (..., C_out), so the
+    full activation is never kept. The signals are processed in blocks of
+    about CONV_BLOCK_BYTES of im2col and output rows; each block's im2col
+    rows are built in forward and again in backward, so no whole-batch
+    im2col buffer is kept.
     """
     if x.value.ndim < 2 or w.value.ndim != 3 or x.value.shape[-1] != w.value.shape[1]:
         raise ShapeMismatch("conv1d", x.value.shape, w.value.shape)
@@ -278,34 +301,87 @@ def conv1d(x: Node, w: Node, stride: int = 1, bias: Node | None = None) -> Node:
 
     xv = np.ascontiguousarray(x.value)
     lead = xv.shape[:-2]
-    st = xv.strides
-    windows = as_strided(
-        xv,
-        shape=lead + (t_out, k, c_in),
-        strides=st[:-2] + (st[-2] * stride, st[-2], st[-1]),
-    )
-    # reshape forces the im2col copy once; cached here for the backward pass
-    win_flat = windows.reshape(-1, k * c_in)
+    signals = xv.reshape(-1, t, c_in)
     w_flat = w.value.reshape(k * c_in, c_out)
-    flat = win_flat @ w_flat
-    if bias is not None:
-        flat += bias.value
-    out = flat.reshape(lead + (t_out, c_out))
+    b = None if bias is None else bias.value
+    per_block = max(1, CONV_BLOCK_BYTES // (8 * (k * c_in + c_out) * t_out))
+    blocks = [slice(i, i + per_block) for i in range(0, len(signals), per_block)]
+
+    def im2col(sl):
+        xb = signals[sl]
+        st = xb.strides
+        # one window of k taps x C_in channels is contiguous in a signal
+        windows = as_strided(
+            xb, shape=(len(xb), t_out, k * c_in), strides=(st[0], st[1] * stride, st[2])
+        )
+        return windows.reshape(-1, k * c_in)
+
+    def preactivation(cols, out=None):
+        z = np.matmul(cols, w_flat, out=out)
+        if b is not None:
+            z += b
+        return z
+
+    out = np.empty((len(signals), c_out) if time_mean else (len(signals), t_out, c_out))
+    for sl in blocks:
+        z = preactivation(im2col(sl), out=None if time_mean else out[sl].reshape(-1, c_out))
+        if relu:
+            np.maximum(z, 0.0, out=z)
+        if time_mean:
+            out[sl] = z.reshape(-1, t_out, c_out).mean(axis=1)
+
+    # input gradient by phase groups: time is laid out as (rows, stride*C_in)
+    # and the kernel zero-padded to whole groups of `stride` taps; group q is
+    # one GEMM added into the contiguous rows q..q+T_out
+    groups = -(-k // stride)
+    rows = -(-t // stride) + groups
+    w_pad = np.zeros((groups * stride, c_in, c_out))
+    w_pad[:k] = w.value
+    w_groups = [np.ascontiguousarray(g.T) for g in w_pad.reshape(groups, stride * c_in, c_out)]
 
     def bwd(g):
-        g_flat = g.reshape(-1, c_out)
-        gw = (win_flat.T @ g_flat).reshape(k, c_in, c_out)
-        gb = None if bias is None else g_flat.sum(axis=0)
-        if not x.needs_grad:
-            return (None, gw) if bias is None else (None, gw, gb)
-        gw_cols = (g_flat @ w_flat.T).reshape(lead + (t_out, k, c_in))
-        gx = np.zeros_like(xv)
-        for j in range(k):
-            gx[..., j : j + stride * t_out : stride, :] += gw_cols[..., :, j, :]
+        g = g.reshape(out.shape)
+        gw = np.zeros_like(w_flat)
+        gb = None if bias is None else np.zeros(c_out)
+        g_rows = np.zeros((len(signals), rows, stride * c_in)) if x.needs_grad else None
+
+        # one block per call, so its temporaries are freed before the next
+        def accumulate(sl):
+            cols = im2col(sl)
+            if time_mean:
+                g_mean = (g[sl] / t_out)[:, None, :]
+                if relu:
+                    z = preactivation(cols).reshape(-1, t_out, c_out)
+                    gz = np.multiply(g_mean, z > 0.0, out=z)
+                else:
+                    gz = np.repeat(g_mean, t_out, axis=1)
+            else:
+                gz = g[sl]
+                if relu:
+                    gz = gz * (out[sl] > 0.0)
+            gz = gz.reshape(-1, c_out)
+            gw[...] += cols.T @ gz
+            if gb is not None:
+                gb[...] += gz.sum(axis=0)
+            if g_rows is not None:
+                g_block = g_rows[sl]
+                for q, wq in enumerate(w_groups):
+                    g_block[:, q : q + t_out] += (gz @ wq).reshape(-1, t_out, stride * c_in)
+
+        for sl in blocks:
+            accumulate(sl)
+        gw = gw.reshape(k, c_in, c_out)
+        gx = None
+        if g_rows is not None:
+            gx = g_rows.reshape(len(signals), rows * stride, c_in)[:, :t].reshape(xv.shape)
         return (gx, gw) if bias is None else (gx, gw, gb)
 
+    def kink():
+        return min(float(np.abs(preactivation(im2col(sl))).min()) for sl in blocks)
+
     parents = (x, w) if bias is None else (x, w, bias)
-    return Node(out, "conv1d", parents, bwd)
+    out_shape = lead + out.shape[1:]
+    return Node(out.reshape(out_shape), "conv1d", parents, bwd, kink=kink if relu else None)
 
 
 def _toposort(root: Node):
@@ -374,17 +450,13 @@ def graph_nodes(root: Node):
 
 
 def kink_margin(root: Node) -> float:
-    """Smallest |pre-activation| over every relu in the graph (inf if none).
+    """Smallest |pre-activation| over every relu in the graph, fused ones
+    included (inf if none).
 
     Finite-difference checks are unreliable when an input sits within ~10*eps
     of a relu kink; callers resample when this margin is too small.
     """
-    margin = np.inf
-    for node in graph_nodes(root):
-        if node.op == "relu":
-            m = np.abs(node.parents[0].value).min()
-            margin = min(margin, float(m))
-    return margin
+    return min((node.kink() for node in graph_nodes(root) if node.kink is not None), default=np.inf)
 
 
 def gradient_check(f, params, eps: float = 1e-5) -> float:

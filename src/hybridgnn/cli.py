@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime/pipeline failure, 2 configuration/IO error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .model import (
     ModelConfig,
     ParamsFileError,
     VARIANTS,
-    forward,
+    forward,  # not called here; kept as cli.forward, which perfbench/tracer.py wraps
     load_params,
     save_params,
 )
@@ -284,9 +285,7 @@ def cmd_eval(args) -> int:
     params, mcfg = load_params(args.params)
     cfg_for_data = {**cfg, "n_channels": mcfg.n_channels}
     segs = load_segments(cfg_for_data)
-    metrics = evaluate(params, mcfg, segs.x, segs.y)
-    _write_json(os.path.join(args.out, "metrics.json"), metrics.to_dict())
-    print(json.dumps(metrics.to_dict(), sort_keys=True))
+    export = None
     if args.export_graphs:
         graph_dir = os.path.join(args.out, "graphs")
         os.makedirs(graph_dir, exist_ok=True)
@@ -295,20 +294,27 @@ def cmd_eval(args) -> int:
                 os.path.join(graph_dir, "common_adj.txt"),
                 common_adjacency(params.common_adj_raw).value, fmt="%.18e",
             )
-        for i in range(len(segs)):
-            _probs, diag = forward(segs.x[i], params, mcfg)
-            if diag["adj_inst"] is not None:
-                np.savetxt(
-                    os.path.join(graph_dir, f"sample_{i:05d}_adj_inst.txt"),
-                    diag["adj_inst"], fmt="%.18e",
-                )
-            for j, assign in enumerate(diag["assign"]):
-                np.savetxt(
-                    os.path.join(graph_dir, f"sample_{i:05d}_assign_{j}.txt"),
-                    assign, fmt="%.18e",
-                )
+        export = functools.partial(_export_graphs, graph_dir)
+    # the export is written from the same batched pass that gives the metrics
+    metrics = evaluate(params, mcfg, segs.x, segs.y, on_batch=export)
+    _write_json(os.path.join(args.out, "metrics.json"), metrics.to_dict())
+    print(json.dumps(metrics.to_dict(), sort_keys=True))
+    if args.export_graphs:
         print(f"graph exports -> {graph_dir}")
     return 0
+
+
+def _export_graphs(graph_dir: str, start: int, diag: dict) -> None:
+    """Write each segment's individualized adjacency and assignment matrices
+    from one batch's diagnostics; segment `start` is the batch's first."""
+    stacks = [] if diag["adj_inst"] is None else [("adj_inst", diag["adj_inst"])]
+    stacks += [(f"assign_{j}", assign) for j, assign in enumerate(diag["assign"])]
+    for name, stack in stacks:
+        for offset, matrix in enumerate(stack):
+            np.savetxt(
+                os.path.join(graph_dir, f"sample_{start + offset:05d}_{name}.txt"),
+                matrix, fmt="%.18e",
+            )
 
 
 def cmd_synth(args) -> int:

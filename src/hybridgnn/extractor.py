@@ -91,6 +91,8 @@ def extract_features(segment: np.ndarray, params: ExtractorParams) -> ad.Node:
     specs = [layer[0] for layer in params.layers]
     output_lengths(segment.shape[-1], specs)
     x = ad.constant(zscore(segment)[..., None])  # channels-last: (..., N, T_s, 1)
-    for (_k, stride, _c_in, _c_out), w, b in params.layers:
-        x = ad.relu(ad.conv1d(x, w, stride=stride, bias=b))
-    return ad.mean(x, axis=-2)
+    last = len(params.layers) - 1
+    for i, ((_k, stride, _c_in, _c_out), w, b) in enumerate(params.layers):
+        # relu fused into every conv; the last one also averages over time
+        x = ad.conv1d(x, w, stride=stride, bias=b, relu=True, time_mean=i == last)
+    return x

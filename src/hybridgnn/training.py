@@ -190,11 +190,12 @@ class Metrics:
 
 
 def evaluate(params: ModelParams, mcfg: ModelConfig, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 256) -> Metrics:
-    """Argmax predictions over a shard; positive class is index 1 (patient)."""
+             batch_size: int = 256, on_batch=None) -> Metrics:
+    """Argmax predictions over a shard; positive class is index 1 (patient).
+    `on_batch` is passed to `predict`."""
     if len(x) == 0:
         raise ValueError("evaluate: empty shard")
-    preds = predict(params, mcfg, x, batch_size)
+    preds = predict(params, mcfg, x, batch_size, on_batch)
     y = np.asarray(y)
     tp = int(np.sum((preds == 1) & (y == 1)))
     fp = int(np.sum((preds == 1) & (y == 0)))
@@ -203,11 +204,26 @@ def evaluate(params: ModelParams, mcfg: ModelConfig, x: np.ndarray, y: np.ndarra
     return Metrics(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def predict(params: ModelParams, mcfg: ModelConfig, x: np.ndarray, batch_size: int = 256):
+def _forward_values(segments: np.ndarray, params: ModelParams, mcfg: ModelConfig):
+    """`forward_batch` reduced to numpy arrays: probs (B, C) and the
+    diagnostics, "adj_inst" (B, N, N) or None and "assign" as a list of
+    (B, N, N_r). The batch's autodiff graph is freed on return, so it is
+    not held while the next batch runs."""
+    probs, diag = forward_batch(segments, params, mcfg)
+    adj_inst = None if diag["adj_inst"] is None else diag["adj_inst"].value
+    return probs.value, {"adj_inst": adj_inst, "assign": [r.value for r in diag["assign"]]}
+
+
+def predict(params: ModelParams, mcfg: ModelConfig, x: np.ndarray, batch_size: int = 256,
+            on_batch=None):
+    """Argmax class per segment. `on_batch(start, diag)`, if given, receives
+    each batch's first segment index and its diagnostics from `_forward_values`."""
     preds = []
     for start in range(0, len(x), batch_size):
-        probs, _diag = forward_batch(x[start : start + batch_size], params, mcfg)
-        preds.append(np.argmax(probs.value, axis=-1))
+        probs, diag = _forward_values(x[start : start + batch_size], params, mcfg)
+        preds.append(np.argmax(probs, axis=-1))
+        if on_batch is not None:
+            on_batch(start, diag)
     return np.concatenate(preds)
 
 
@@ -218,9 +234,8 @@ def mean_assignment_entropy(params: ModelParams, mcfg: ModelConfig, x: np.ndarra
     total = 0.0
     count = 0
     for start in range(0, len(x), batch_size):
-        _probs, diag = forward_batch(x[start : start + batch_size], params, mcfg)
-        for r in diag["assign"]:
-            rv = r.value
+        _probs, diag = _forward_values(x[start : start + batch_size], params, mcfg)
+        for rv in diag["assign"]:
             ent = -(rv * np.log(np.maximum(rv, ad.LOG_FLOOR))).sum(axis=-1)
             total += float(ent.sum())
             count += ent.size

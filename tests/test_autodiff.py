@@ -126,11 +126,76 @@ def case_conv1d_bias(rng):
     )
 
 
+def _fused_conv1d(rng, x_shape, k, c_out, stride, bias, time_mean, x_grad):
+    """conv1d with relu fused (and optionally the time-mean); inputs are
+    redrawn until every pre-activation is away from the relu kink."""
+    while True:
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(k, x_shape[-1], c_out))
+        b = rng.normal(size=(c_out,)) if bias else None
+
+        def f(leaves, x=x, b=b):
+            leaves = list(leaves)
+            xn = leaves.pop(0) if x_grad else ad.constant(x)
+            wn = leaves.pop(0)
+            bn = leaves.pop(0) if bias else None
+            out = ad.conv1d(xn, wn, stride=stride, bias=bn, relu=True, time_mean=time_mean)
+            return scalar_readout(out)
+
+        arrays = ([x] if x_grad else []) + [w] + ([b] if bias else [])
+        if ad.kink_margin(f([ad.constant(a) for a in arrays])) > 1e-3:
+            return f, arrays
+
+
+def case_conv1d_mean(rng):
+    # time-mean without relu
+    x = rng.normal(size=(2, 10, 2))
+    w = rng.normal(size=(3, 2, 3))
+    return lambda l: scalar_readout(ad.conv1d(l[0], l[1], stride=2, time_mean=True)), [x, w]
+
+
+def case_conv1d_relu(rng):
+    # stride 2 does not divide T = 11
+    return _fused_conv1d(rng, (2, 3, 11, 2), k=4, c_out=3, stride=2,
+                         bias=True, time_mean=False, x_grad=True)
+
+
+def case_conv1d_relu_mean(rng):
+    # stride 3 does not divide T = 10
+    return _fused_conv1d(rng, (3, 10, 2), k=3, c_out=4, stride=3,
+                         bias=True, time_mean=True, x_grad=True)
+
+
+def case_conv1d_relu_short_kernel(rng):
+    # kernel shorter than the stride: some samples feed no output
+    return _fused_conv1d(rng, (2, 13, 3), k=2, c_out=2, stride=3,
+                         bias=False, time_mean=False, x_grad=True)
+
+
+def case_conv1d_relu_mean_full_kernel(rng):
+    # k == T at stride 1: one output step
+    return _fused_conv1d(rng, (2, 7, 2), k=7, c_out=3, stride=1,
+                         bias=False, time_mean=True, x_grad=True)
+
+
+def case_conv1d_relu_constant_input(rng):
+    # first extractor layer: the input needs no gradient
+    return _fused_conv1d(rng, (2, 3, 16, 1), k=3, c_out=4, stride=2,
+                         bias=True, time_mean=False, x_grad=False)
+
+
+def case_conv1d_relu_mean_constant_input(rng):
+    return _fused_conv1d(rng, (2, 3, 16, 1), k=5, c_out=2, stride=4,
+                         bias=True, time_mean=True, x_grad=False)
+
+
 ALL_CASES = [
     case_add, case_add_broadcast, case_sub, case_mul, case_scale, case_matmul,
     case_matmul_batched, case_transpose, case_relu, case_exp, case_log,
     case_softmax, case_mean, case_sum, case_concat, case_reshape, case_slice,
-    case_conv1d, case_conv1d_bias,
+    case_conv1d, case_conv1d_bias, case_conv1d_mean, case_conv1d_relu, case_conv1d_relu_mean,
+    case_conv1d_relu_short_kernel, case_conv1d_relu_mean_full_kernel,
+    case_conv1d_relu_constant_input, case_conv1d_relu_mean_constant_input,
 ]
 
 
@@ -305,6 +370,91 @@ def test_kink_margin_reports_smallest_preactivation():
     npt.assert_allclose(ad.kink_margin(root), 0.01)
     root = ad.reduce_sum(x)
     assert ad.kink_margin(root) == np.inf
+
+
+def test_kink_margin_sees_relu_fused_into_conv1d():
+    # the graph's only relu is inside the conv; its margin is the smallest
+    # |pre-activation|, not inf
+    x = np.array([[1.0], [2.0], [-3.0], [0.5]])
+    w = np.array([[[1.0]], [[1.0]]])
+    b = np.array([0.3])
+    # pre-activations: 3.3, -0.7, -2.2
+    for time_mean in (False, True):
+        out = ad.conv1d(ad.param(x), ad.param(w), stride=1, bias=ad.param(b),
+                        relu=True, time_mean=time_mean)
+        npt.assert_allclose(ad.kink_margin(ad.reduce_sum(out)), 0.7)
+    plain = ad.conv1d(ad.param(x), ad.param(w), stride=1, bias=ad.param(b))
+    assert ad.kink_margin(ad.reduce_sum(plain)) == np.inf
+
+
+def _naive_relu_conv1d(x, w, b, stride):
+    """relu(valid conv) of every signal by explicit loops: x (S, T, C_in)."""
+    k, c_in, c_out = w.shape
+    t_out = (x.shape[1] - k) // stride + 1
+    out = np.zeros((x.shape[0], t_out, c_out))
+    for s in range(x.shape[0]):
+        for i in range(t_out):
+            for o in range(c_out):
+                z = b[o] + sum(
+                    x[s, i * stride + j, c] * w[j, c, o] for j in range(k) for c in range(c_in)
+                )
+                out[s, i, o] = max(z, 0.0)
+    return out
+
+
+def test_fused_conv1d_matches_naive_oracle_across_blocks(monkeypatch):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(5, 3, 20, 2))  # 15 signals
+    w = rng.normal(size=(3, 2, 3))
+    b = rng.normal(size=(3,))
+    stride, t_out = 2, 9
+    # 4 signals per block: blocks of 4, 4, 4 and a ragged 3
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 4 * 8 * (3 * 2 + 3) * t_out)
+    expected = _naive_relu_conv1d(x.reshape(15, 20, 2), w, b, stride).reshape(5, 3, t_out, 3)
+    args = (ad.constant(x), ad.constant(w))
+    out = ad.conv1d(*args, stride=stride, bias=ad.constant(b), relu=True)
+    npt.assert_allclose(out.value, expected, atol=1e-12)
+    out = ad.conv1d(*args, stride=stride, bias=ad.constant(b), relu=True, time_mean=True)
+    npt.assert_allclose(out.value, expected.mean(axis=-2), atol=1e-12)
+
+
+def test_fused_conv1d_blocked_gradients_match_one_block(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(7, 19, 3))
+    w = rng.normal(size=(5, 3, 4))
+    b = rng.normal(size=(4,))
+
+    def grads(time_mean):
+        leaves = [ad.param(a) for a in (x, w, b)]
+        out = ad.conv1d(leaves[0], leaves[1], stride=2, bias=leaves[2],
+                        relu=True, time_mean=time_mean)
+        ad.backward(scalar_readout(out))
+        return [leaf.grad for leaf in leaves]
+
+    for time_mean in (False, True):
+        whole = grads(time_mean)
+        # 3 signals per block: blocks of 3, 3 and a ragged 1
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 3 * 8 * (5 * 3 + 4) * 8)
+        blocked = grads(time_mean)
+        monkeypatch.undo()
+        for one, many in zip(whole, blocked):
+            npt.assert_allclose(many, one, rtol=1e-12, atol=1e-14)
+
+
+def test_fused_conv1d_backward_twice_doubles_gradients(monkeypatch):
+    # backward recomputes blocks from what forward kept; a buffer overwritten
+    # by the first pass would change the second
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(13)
+    for time_mean in (False, True):
+        x, w1, w2, b = (ad.param(rng.normal(size=s)) for s in ((4, 17, 2), (3, 2, 3), (2, 3, 3), (3,)))
+        h = ad.conv1d(x, w1, stride=2, bias=b, relu=True)
+        root = scalar_readout(ad.conv1d(h, w2, stride=2, bias=b, relu=True, time_mean=time_mean))
+        ad.backward(root)
+        first = [n.grad.copy() for n in (x, w1, w2, b)]
+        ad.backward(root)
+        for n, g in zip((x, w1, w2, b), first):
+            npt.assert_array_equal(n.grad, 2.0 * g)
 
 
 def test_finite_outputs_on_finite_inputs():

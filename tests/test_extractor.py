@@ -1,6 +1,8 @@
 """Temporal extractor tests: conv oracle, shape contracts, electrode
 independence, and parameter gradients."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -144,3 +146,23 @@ def test_zscore_normalizes_rows():
     z = ex.zscore(seg)
     npt.assert_allclose(z.mean(axis=-1), 0.0, atol=1e-12)
     npt.assert_allclose(z.std(axis=-1), 1.0, atol=1e-12)
+
+
+def test_forward_backward_peak_below_whole_batch_im2col():
+    # the blocked conv keeps no whole-batch im2col buffer: a B=8 19 x 1024
+    # forward and backward must peak below the size of the one layer 2 would need
+    params = ex.init_extractor(np.random.default_rng(13), DEFAULT_SPECS)
+    seg = np.random.default_rng(14).normal(size=(8, 19, 1024))
+    probe = ad.constant(np.cos(np.arange(8 * 19 * 32)).reshape(8, 19, 32))
+    t_1 = ex.output_lengths(1024, DEFAULT_SPECS)[0]
+    k_2, stride_2, c_in_2, _c_out_2 = DEFAULT_SPECS[1]
+    im2col_bytes = 8 * 19 * ((t_1 - k_2) // stride_2 + 1) * k_2 * c_in_2 * 8
+    tracemalloc.start()
+    try:
+        feats = ex.extract_features(seg, params)
+        ad.backward(ad.reduce_sum(ad.mul(feats, probe)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.layers[1][1].grad is not None
+    assert peak < im2col_bytes, f"peak {peak} B >= whole-batch im2col {im2col_bytes} B"
