@@ -18,7 +18,6 @@ from .data import (
 )
 from .model import (
     ModelConfig,
-    ModelParams,
     forward,
     forward_batch,
     init_model,
@@ -38,8 +37,8 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EegSegment", "FoldReport", "Metrics", "ModelConfig", "ModelParams",
-    "Recording", "SegmentSet", "TrainConfig", "__version__", "evaluate",
+    "EegSegment", "FoldReport", "Metrics", "ModelConfig", "Recording",
+    "SegmentSet", "TrainConfig", "__version__", "evaluate",
     "forward", "forward_batch", "init_model", "load_dataset", "load_params",
     "save_dataset", "save_params", "segment_recording", "synth_generate",
     "ten_fold_cv", "train_epoch", "train_model",

@@ -5,8 +5,11 @@ backpropagation: the primitive tag that produced it, references to its parent
 nodes, and a closure mapping the output gradient to parent gradients. Graphs
 are rebuilt on every forward pass; there is no static compilation.
 
-Gradient semantics: `backward` ACCUMULATES into `.grad` across calls. Use
-`zero_grads` to reset between optimizer steps.
+Gradient semantics: `backward` stores gradients in `.grad` on leaves only
+(parameters and other nodes without a backward rule) and ACCUMULATES there
+across calls; use `zero_grads` to reset between optimizer steps. An
+intermediate node's gradient is dropped once it has been passed on to its
+parents, so it is not held for as long as the graph lives.
 
 Elementwise primitives follow numpy broadcasting; gradients are summed back
 over broadcast axes. `matmul` and `transpose` operate on the last two axes,
@@ -94,15 +97,6 @@ def add(a: Node, b: Node) -> Node:
         return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
 
     return Node(a.value + b.value, "add", (a, b), bwd)
-
-
-def sub(a: Node, b: Node) -> Node:
-    _check_broadcast("sub", a, b)
-
-    def bwd(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return Node(a.value - b.value, "sub", (a, b), bwd)
 
 
 def mul(a: Node, b: Node) -> Node:
@@ -239,27 +233,6 @@ def concat(nodes, axis: int) -> Node:
         return tuple(np.split(g, offsets, axis=axis))
 
     return Node(np.concatenate([n.value for n in nodes], axis=axis), "concat", tuple(nodes), bwd)
-
-
-def reshape(a: Node, shape) -> Node:
-    shape = tuple(shape)
-
-    def bwd(g):
-        return (g.reshape(a.value.shape),)
-
-    return Node(a.value.reshape(shape), "reshape", (a,), bwd)
-
-
-def slice_(a: Node, key) -> Node:
-    """Basic slicing (tuples of `slice`/int); backward scatters into zeros."""
-    out = a.value[key]
-
-    def bwd(g):
-        full = np.zeros_like(a.value)
-        full[key] = g
-        return (full,)
-
-    return Node(out, "slice", (a,), bwd)
 
 
 # bytes of im2col and output rows per block of conv1d: one block stays in a
@@ -404,10 +377,11 @@ def _toposort(root: Node):
 
 
 def backward(root: Node) -> None:
-    """Populate `.grad` on every reachable differentiable node.
+    """Populate `.grad` on every reachable differentiable leaf.
 
-    Gradients accumulate across calls; reset with `zero_grads`. The root must
-    be scalar (shape product 1).
+    Gradients accumulate across calls; reset with `zero_grads`. Intermediate
+    nodes keep `.grad` unset: their gradient lives only until it has been
+    passed to their parents. The root must be scalar (shape product 1).
     """
     if root.value.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.value.shape}")
@@ -419,8 +393,8 @@ def backward(root: Node) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
         if node._backward is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
         for p, pg in zip(node.parents, node._backward(g)):
             if pg is None or not p.needs_grad:

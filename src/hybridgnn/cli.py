@@ -289,10 +289,10 @@ def cmd_eval(args) -> int:
     if args.export_graphs:
         graph_dir = os.path.join(args.out, "graphs")
         os.makedirs(graph_dir, exist_ok=True)
-        if params.common_adj_raw is not None:
+        if "common_adj.raw" in params:
             np.savetxt(
                 os.path.join(graph_dir, "common_adj.txt"),
-                common_adjacency(params.common_adj_raw).value, fmt="%.18e",
+                common_adjacency(params["common_adj.raw"]).value, fmt="%.18e",
             )
         export = functools.partial(_export_graphs, graph_dir)
     # the export is written from the same batched pass that gives the metrics

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import substream
 
@@ -105,7 +106,8 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float):
 
     Stride is window_s * (1 - overlap_frac) seconds; windows start at
     0, stride, 2*stride, ... as long as a full window fits. Returns [] when
-    the recording is shorter than one window.
+    the recording is shorter than one window. Each segment's data is a
+    read-only view into `rec.signal`, not a copy.
     """
     if not 0.0 <= overlap_frac < 1.0:
         raise DatasetError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
@@ -120,12 +122,14 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float):
         return []
     stride = window * (1 - Fraction(overlap_frac))  # exact, in samples
     count = int(Fraction(total - window) / stride) + 1
+    # read-only views into the signal: stacking into a SegmentSet is the only copy
+    views = sliding_window_view(rec.signal, window, axis=1)  # (N, starts, window)
     segments = []
     for k in range(count):
         start = int(k * stride)  # floor of the exact offset
         segments.append(
             EegSegment(
-                data=rec.signal[:, start : start + window].copy(),
+                data=views[:, start],
                 label=rec.label,
                 subject_id=rec.subject_id,
                 offset=start,

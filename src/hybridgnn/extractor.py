@@ -26,41 +26,10 @@ def default_extractor_layers(feature_dim: int) -> tuple:
 
 @dataclass
 class ExtractorParams:
-    """Conv stack weights: per layer (kernel, stride, in, out, w, b) with
-    w shaped (kernel, in, out) and b shaped (out,)."""
+    """Conv stack weights: per layer (spec, w, b) with spec the layer tuple
+    (kernel, stride, in, out), w shaped (kernel, in, out) and b shaped (out,)."""
 
     layers: list  # list of (spec tuple, weight Node, bias Node)
-
-    def validate(self) -> None:
-        prev_out = 1
-        for i, (spec, w, b) in enumerate(self.layers):
-            k, stride, c_in, c_out = spec
-            if c_in != prev_out:
-                raise ValueError(
-                    f"extractor layer {i}: in_channels {c_in} does not chain from {prev_out}"
-                )
-            if w.value.shape != (k, c_in, c_out) or b.value.shape != (c_out,):
-                raise ValueError(
-                    f"extractor layer {i}: weight/bias shapes inconsistent with the layer tuple"
-                )
-            prev_out = c_out
-
-
-def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_extractor(rng: np.random.Generator, layer_specs) -> ExtractorParams:
-    layers = []
-    for spec in layer_specs:
-        k, stride, c_in, c_out = spec
-        w = ad.param(glorot(rng, (k, c_in, c_out), fan_in=c_in * k, fan_out=c_out * k))
-        b = ad.param(np.zeros(c_out))
-        layers.append((tuple(spec), w, b))
-    out = ExtractorParams(layers)
-    out.validate()
-    return out
 
 
 def output_lengths(t_s: int, layer_specs) -> list[int]:

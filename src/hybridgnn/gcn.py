@@ -7,18 +7,7 @@ explicit matrix powers.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
-from .extractor import glorot
-
-
-def init_gcn_stack(rng: np.random.Generator, steps: int, in_dim: int, out_dim: int) -> list[ad.Node]:
-    """L+1 weight matrices of shape (in_dim, out_dim) for steps 0..L."""
-    return [
-        ad.param(glorot(rng, (in_dim, out_dim), fan_in=in_dim, fan_out=out_dim))
-        for _ in range(steps + 1)
-    ]
 
 
 def gcn_propagate(a_hat: ad.Node, feats: ad.Node, weights: list[ad.Node]) -> ad.Node:

@@ -13,11 +13,6 @@ import numpy as np
 from . import autodiff as ad
 
 
-def init_common_adjacency_raw(rng: np.random.Generator, n_channels: int) -> ad.Node:
-    """Raw parameter behind the common adjacency, i.i.d. uniform [0, 0.05]."""
-    return ad.param(rng.uniform(0.0, 0.05, size=(n_channels, n_channels)))
-
-
 def common_adjacency(raw: ad.Node) -> ad.Node:
     """Entrywise non-negative map of the raw parameter (relu keeps degrees sane)."""
     return ad.relu(raw)

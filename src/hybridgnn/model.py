@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .extractor import ExtractorParams, default_extractor_layers, extract_features, glorot, init_extractor
-from .gcn import gcn_propagate, init_gcn_stack
-from .graphs import common_adjacency, individual_adjacency, init_common_adjacency_raw, normalize_adjacency
-from .pooling import PoolingParams, assignment_matrix, init_pooling, pool, region_conv, unpool
+from .extractor import ExtractorParams, default_extractor_layers, extract_features
+from .gcn import gcn_propagate
+from .graphs import common_adjacency, individual_adjacency, normalize_adjacency
+from .pooling import assignment_matrix, pool, region_conv, unpool
 from .rng import substream
 
 N_CLASSES = 2
@@ -70,9 +70,18 @@ class ModelConfig:
         if layers is None:
             layers = default_extractor_layers(self.feature_dim)
         layers = tuple(tuple(int(v) for v in spec) for spec in layers)
-        if layers[-1][3] != self.feature_dim:
+        if not layers:
+            raise ValueError("extractor_layers must hold at least one layer")
+        prev_out = 1  # the extractor's input is one sample per time step
+        for i, (k, stride, c_in, c_out) in enumerate(layers):
+            if c_in != prev_out:
+                raise ValueError(f"extractor layer {i}: in_channels {c_in} does not chain from {prev_out}")
+            if min(k, stride, c_out) < 1:
+                raise ValueError(f"extractor layer {i}: kernel, stride and out_channels must be >= 1")
+            prev_out = c_out
+        if prev_out != self.feature_dim:
             raise ValueError(
-                f"last extractor layer emits {layers[-1][3]} channels, expected feature_dim={self.feature_dim}"
+                f"last extractor layer emits {prev_out} channels, expected feature_dim={self.feature_dim}"
             )
         object.__setattr__(self, "extractor_layers", layers)
 
@@ -95,54 +104,12 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
-class ModelParams:
-    extractor: ExtractorParams
-    head_w: ad.Node
-    head_b: ad.Node
-    common_adj_raw: ad.Node = None
-    inst_w1: ad.Node = None
-    inst_w2: ad.Node = None
-    common_weights: list = None
-    inst_weights: list = None
-    pool_inst: PoolingParams = None
-    pool_common: PoolingParams = None
-    hidden_w: ad.Node = None
-    hidden_b: ad.Node = None
-
-    def named_tensors(self) -> list:
-        """Deterministically ordered (name, node) pairs over present groups."""
-        out = []
-        for i, (_spec, w, b) in enumerate(self.extractor.layers):
-            out.append((f"extractor.{i}.w", w))
-            out.append((f"extractor.{i}.b", b))
-        if self.common_adj_raw is not None:
-            out.append(("common_adj.raw", self.common_adj_raw))
-            for l, w in enumerate(self.common_weights):
-                out.append((f"cgnn.{l}", w))
-        if self.inst_w1 is not None:
-            out.append(("inst_adj.w1", self.inst_w1))
-            out.append(("inst_adj.w2", self.inst_w2))
-            for l, w in enumerate(self.inst_weights):
-                out.append((f"ignn.{l}", w))
-        for tag, pooling in (("pool_inst", self.pool_inst), ("pool_common", self.pool_common)):
-            if pooling is not None:
-                out.append((f"{tag}.proj", pooling.assign_proj))
-                for l, w in enumerate(pooling.region_weights):
-                    out.append((f"{tag}.region.{l}", w))
-        if self.hidden_w is not None:
-            out.append(("head.hidden_w", self.hidden_w))
-            out.append(("head.hidden_b", self.hidden_b))
-        out.append(("head.w", self.head_w))
-        out.append(("head.b", self.head_b))
-        return out
-
-    def group_of(self, name: str) -> str:
-        return name.split(".")[0]
-
-
 def param_shapes(config: ModelConfig) -> dict:
-    """Name -> shape of every tensor the config trains, in `named_tensors()` order."""
+    """Name -> shape of every tensor the config trains, in parameter order.
+
+    This is the one place that knows the tensors' names, shapes and order:
+    `init_model`, `bind_params`, `load_params` and `save_params` all follow it.
+    """
     f, d, layout = config.feature_dim, config.out_dim, config.layout
     shapes = {}
     for i, (k, _stride, c_in, c_out) in enumerate(config.extractor_layers):
@@ -169,73 +136,42 @@ def param_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
-def _assemble(config: ModelConfig, nodes: dict) -> ModelParams:
-    """ModelParams over a name -> node mapping holding every `param_shapes` name."""
-
-    def stack(prefix, steps):
-        return [nodes[f"{prefix}.{l}"] for l in range(steps + 1)]
-
-    def pooling(tag):
-        if not config.layout[tag]:
-            return None
-        return PoolingParams(nodes[f"{tag}.proj"], stack(f"{tag}.region", config.region_steps))
-
-    return ModelParams(
-        extractor=ExtractorParams([
-            (spec, nodes[f"extractor.{i}.w"], nodes[f"extractor.{i}.b"])
-            for i, spec in enumerate(config.extractor_layers)
-        ]),
-        head_w=nodes["head.w"],
-        head_b=nodes["head.b"],
-        common_adj_raw=nodes.get("common_adj.raw"),
-        inst_w1=nodes.get("inst_adj.w1"),
-        inst_w2=nodes.get("inst_adj.w2"),
-        common_weights=stack("cgnn", config.steps) if config.layout["common"] else None,
-        inst_weights=stack("ignn", config.steps) if config.layout["inst"] else None,
-        pool_inst=pooling("pool_inst"),
-        pool_common=pooling("pool_common"),
-        hidden_w=nodes.get("head.hidden_w"),
-        hidden_b=nodes.get("head.hidden_b"),
-    )
+def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape)
 
 
-def _numbered(prefix: str, nodes: list) -> dict:
-    return {f"{prefix}.{l}": node for l, node in enumerate(nodes)}
+def init_model(config: ModelConfig, seed: int) -> dict:
+    """Fresh parameters, name -> node in `param_shapes` order.
+
+    Each group (the name up to its first ".") draws from its own stream
+    `substream(seed, "init", group)`, in name order. Biases (1-D) start at
+    zero, the raw common adjacency is uniform [0, 0.05], extractor kernels
+    (k, c_in, c_out) are Glorot-uniform with fans c_in*k and c_out*k, and
+    every other matrix is Glorot-uniform over its two dimensions.
+    """
+    streams = {}
+    params = {}
+    for name, shape in param_shapes(config).items():
+        group = name.split(".")[0]
+        if group not in streams:
+            streams[group] = substream(seed, "init", group)
+        gen = streams[group]
+        if len(shape) == 1:
+            value = np.zeros(shape)
+        elif name == "common_adj.raw":
+            value = gen.uniform(0.0, 0.05, size=shape)
+        elif len(shape) == 3:
+            k, c_in, c_out = shape
+            value = glorot(gen, shape, c_in * k, c_out * k)
+        else:
+            value = glorot(gen, shape, *shape)
+        params[name] = ad.param(value)
+    return params
 
 
-def init_model(config: ModelConfig, seed: int) -> ModelParams:
-    """Fresh parameters for the configured variant, one named seed stream per group."""
-
-    def stream(group):
-        return substream(seed, "init", group)
-
-    shapes = param_shapes(config)
-    f, d, layout = config.feature_dim, config.out_dim, config.layout
-    nodes = {}
-    for i, (_spec, w, b) in enumerate(init_extractor(stream("extractor"), config.extractor_layers).layers):
-        nodes[f"extractor.{i}.w"], nodes[f"extractor.{i}.b"] = w, b
-    if layout["common"]:
-        nodes["common_adj.raw"] = init_common_adjacency_raw(stream("common_adj"), config.n_channels)
-        nodes.update(_numbered("cgnn", init_gcn_stack(stream("cgnn"), config.steps, f, d)))
-    if layout["inst"]:
-        gen = stream("inst_adj")
-        for name in ("inst_adj.w1", "inst_adj.w2"):
-            nodes[name] = ad.param(glorot(gen, shapes[name], *shapes[name]))
-        nodes.update(_numbered("ignn", init_gcn_stack(stream("ignn"), config.steps, f, d)))
-    for tag in ("pool_inst", "pool_common"):
-        if layout[tag]:
-            pooling = init_pooling(stream(tag), f, config.n_regions, config.region_steps, d)
-            nodes[f"{tag}.proj"] = pooling.assign_proj
-            nodes.update(_numbered(f"{tag}.region", pooling.region_weights))
-    gen = stream("head")
-    for name, shape in shapes.items():
-        if name.startswith("head."):  # weights draw in order; biases start at zero
-            nodes[name] = ad.param(np.zeros(shape) if len(shape) == 1 else glorot(gen, shape, *shape))
-    return _assemble(config, nodes)
-
-
-def bind_params(config: ModelConfig, nodes: list) -> ModelParams:
-    """Assemble a ModelParams whose tensors ARE the given nodes.
+def bind_params(config: ModelConfig, nodes: list) -> dict:
+    """Parameters whose tensors ARE the given nodes.
 
     Nodes must match `param_shapes(config)` in order and shape; used by
     gradient checking, which supplies its own leaf nodes.
@@ -246,19 +182,24 @@ def bind_params(config: ModelConfig, nodes: list) -> ModelParams:
     for (name, shape), node in zip(shapes.items(), nodes):
         if node.value.shape != shape:
             raise ValueError(f"tensor {name}: shape {node.value.shape} != {shape}")
-    return _assemble(config, dict(zip(shapes, nodes)))
+    return dict(zip(shapes, nodes))
 
 
-def _head(y_all: ad.Node, params: ModelParams) -> ad.Node:
+def _stack(params: dict, prefix: str, steps: int) -> list:
+    """The propagation weights `prefix`.0 .. `prefix`.`steps`."""
+    return [params[f"{prefix}.{l}"] for l in range(steps + 1)]
+
+
+def _head(y_all: ad.Node, params: dict) -> ad.Node:
     """relu, mean over the channel axis, linear stack, softmax."""
     h = ad.mean(ad.relu(y_all), axis=-2)
-    if params.hidden_w is not None:
-        h = ad.relu(ad.add(ad.matmul(h, params.hidden_w), params.hidden_b))
-    logits = ad.add(ad.matmul(h, params.head_w), params.head_b)
+    if "head.hidden_w" in params:
+        h = ad.relu(ad.add(ad.matmul(h, params["head.hidden_w"]), params["head.hidden_b"]))
+    logits = ad.add(ad.matmul(h, params["head.w"]), params["head.b"])
     return ad.softmax(logits, axis=-1)
 
 
-def forward_batch(segments: np.ndarray, params: ModelParams, config: ModelConfig):
+def forward_batch(segments: np.ndarray, params: dict, config: ModelConfig):
     """Run the model on a (B, N, T_s) stack of segments.
 
     Returns (probs node of shape (B, C), diagnostics dict with graph nodes:
@@ -271,32 +212,39 @@ def forward_batch(segments: np.ndarray, params: ModelParams, config: ModelConfig
             f"expected segments shaped (B, {config.n_channels}, T), got {segments.shape}"
         )
     layout = config.layout
-    feats = extract_features(segments, params.extractor)  # (B, N, F_d)
+    extractor = ExtractorParams([
+        (spec, params[f"extractor.{i}.w"], params[f"extractor.{i}.b"])
+        for i, spec in enumerate(config.extractor_layers)
+    ])
+    feats = extract_features(segments, extractor)  # (B, N, F_d)
 
     diag = {"adj_inst": None, "assign": []}
-    branches = []  # (raw adjacency, propagation weights, pooling or None)
+    branches = []  # (raw adjacency, propagation group, pooling group)
     if layout["inst"]:
-        adj_inst = individual_adjacency(feats, params.inst_w1, params.inst_w2, config.inst_softmax_axis)
+        adj_inst = individual_adjacency(
+            feats, params["inst_adj.w1"], params["inst_adj.w2"], config.inst_softmax_axis
+        )
         diag["adj_inst"] = adj_inst
-        branches.append((adj_inst, params.inst_weights, params.pool_inst))
+        branches.append((adj_inst, "ignn", "pool_inst"))
     if layout["common"]:
-        branches.append((common_adjacency(params.common_adj_raw), params.common_weights, params.pool_common))
+        branches.append((common_adjacency(params["common_adj.raw"]), "cgnn", "pool_common"))
 
     outputs = []
-    for adj, weights, pooling in branches:
+    for adj, gnn, pooling in branches:
         adj_hat = normalize_adjacency(adj)
-        y = gcn_propagate(adj_hat, feats, weights)
-        if pooling is not None:
-            assign = assignment_matrix(adj_hat, feats, pooling)
+        y = gcn_propagate(adj_hat, feats, _stack(params, gnn, config.steps))
+        if layout[pooling]:
+            assign = assignment_matrix(adj_hat, feats, params[f"{pooling}.proj"])
             adj_r, feats_r = pool(assign, adj, feats)
-            y = ad.add(y, unpool(assign, region_conv(adj_r, feats_r, pooling)))
+            region = _stack(params, f"{pooling}.region", config.region_steps)
+            y = ad.add(y, unpool(assign, region_conv(adj_r, feats_r, region)))
             diag["assign"].append(assign)
         outputs.append(y)
     y_all = outputs[0] if len(outputs) == 1 else ad.concat(outputs, axis=-1)
     return _head(y_all, params), diag
 
 
-def forward(segment: np.ndarray, params: ModelParams, config: ModelConfig):
+def forward(segment: np.ndarray, params: dict, config: ModelConfig):
     """Single-segment forward: (N, T_s) -> (class probs (C,), diagnostics arrays)."""
     segment = np.asarray(segment, dtype=np.float64)
     if segment.ndim != 2:
@@ -340,14 +288,13 @@ class ParamsConfigMismatchError(ParamsFileError):
     """Embedded config conflicts with the config expected at load time."""
 
 
-def save_params(path: str, params: ModelParams, config: ModelConfig) -> None:
+def save_params(path: str, params: dict, config: ModelConfig) -> None:
     """Atomically write params + config; round-trips bit-exactly."""
-    named = params.named_tensors()
     table = []
     offset = 0
     chunks = []
-    for name, node in named:
-        arr = np.ascontiguousarray(node.value, dtype="<f8")
+    for name in param_shapes(config):
+        arr = np.ascontiguousarray(params[name].value, dtype="<f8")
         table.append({"name": name, "shape": list(arr.shape), "offset": offset})
         chunks.append(arr.tobytes())
         offset += arr.nbytes
@@ -362,7 +309,7 @@ def save_params(path: str, params: ModelParams, config: ModelConfig) -> None:
 
 
 def load_params(path: str, expected_config: ModelConfig = None):
-    """Read a parameter file; returns (ModelParams, ModelConfig).
+    """Read a parameter file; returns (params dict, ModelConfig).
 
     Raises ParamsVersionError / ParamsShapeError / ParamsCorruptError /
     ParamsConfigMismatchError as distinct failures; never returns partially
@@ -412,4 +359,4 @@ def load_params(path: str, expected_config: ModelConfig = None):
         raise ParamsConfigMismatchError(
             f"{path}: embedded config does not match the runtime config"
         )
-    return _assemble(config, nodes), config
+    return nodes, config

@@ -9,35 +9,15 @@ it into the branch output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import autodiff as ad
-from .extractor import glorot
-from .gcn import gcn_propagate, init_gcn_stack
+from .gcn import gcn_propagate
 from .graphs import normalize_adjacency
 
 
-@dataclass
-class PoolingParams:
-    """Assignment projection plus the region-level convolution stack."""
-
-    assign_proj: ad.Node  # (F_d, N_r)
-    region_weights: list  # L' + 1 nodes of shape (F_d, d)
-
-
-def init_pooling(
-    rng: np.random.Generator, feature_dim: int, n_regions: int, region_steps: int, out_dim: int
-) -> PoolingParams:
-    proj = ad.param(glorot(rng, (feature_dim, n_regions), fan_in=feature_dim, fan_out=n_regions))
-    weights = init_gcn_stack(rng, region_steps, feature_dim, out_dim)
-    return PoolingParams(proj, weights)
-
-
-def assignment_matrix(a_hat: ad.Node, feats: ad.Node, params: PoolingParams) -> ad.Node:
-    """Row-stochastic (..., N, N_r) soft assignment of channels to regions."""
-    return ad.softmax(ad.matmul(ad.matmul(a_hat, feats), params.assign_proj), axis=-1)
+def assignment_matrix(a_hat: ad.Node, feats: ad.Node, proj: ad.Node) -> ad.Node:
+    """Row-stochastic (..., N, N_r) soft assignment of channels to regions,
+    through the (F_d, N_r) projection `proj`."""
+    return ad.softmax(ad.matmul(ad.matmul(a_hat, feats), proj), axis=-1)
 
 
 def pool(assign: ad.Node, adj: ad.Node, feats: ad.Node) -> tuple[ad.Node, ad.Node]:
@@ -49,9 +29,10 @@ def pool(assign: ad.Node, adj: ad.Node, feats: ad.Node) -> tuple[ad.Node, ad.Nod
     return adj_regions, feats_regions
 
 
-def region_conv(adj_regions: ad.Node, feats_regions: ad.Node, params: PoolingParams) -> ad.Node:
-    """Polynomial graph convolution on the region graph (renormalized)."""
-    return gcn_propagate(normalize_adjacency(adj_regions), feats_regions, params.region_weights)
+def region_conv(adj_regions: ad.Node, feats_regions: ad.Node, weights: list) -> ad.Node:
+    """Polynomial graph convolution on the region graph (renormalized), with
+    the L' + 1 weights of shape (F_d, d)."""
+    return gcn_propagate(normalize_adjacency(adj_regions), feats_regions, weights)
 
 
 def unpool(assign: ad.Node, y_regions: ad.Node) -> ad.Node:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SegmentSet
-from .model import ModelConfig, ModelParams, forward_batch, init_model
+from .model import ModelConfig, forward_batch, init_model
 from .rng import subseed, substream
 
 
@@ -81,8 +81,8 @@ class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, named_tensors):
-        for _name, node in named_tensors:
+    def step(self, named):
+        for _name, node in named:
             if node.grad is not None:
                 node.value = node.value - self.lr * node.grad
 
@@ -96,12 +96,12 @@ class _Adam:
         self.t = 0
         self.state = {}
 
-    def step(self, named_tensors):
+    def step(self, named):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
-        for name, node in named_tensors:
+        for name, node in named:
             if node.grad is None:
                 continue
             m, v = self.state.get(name, (0.0, 0.0))
@@ -112,7 +112,7 @@ class _Adam:
 
 
 def train_epoch(
-    params: ModelParams,
+    params: dict,
     mcfg: ModelConfig,
     tcfg: TrainConfig,
     x: np.ndarray,
@@ -124,7 +124,6 @@ def train_epoch(
     if len(x) == 0:
         raise ValueError("train_epoch: empty shard")
     order = shuffle_rng.permutation(len(x))
-    named = params.named_tensors()
     losses = []
     grad_norms = []
     for start in range(0, len(order), tcfg.batch_size):
@@ -133,16 +132,16 @@ def train_epoch(
         objective = batch_loss(probs, y[idx], diag["assign"], tcfg.lam)
         value = float(objective.value)
         if not math.isfinite(value):
-            norms = {name: float(np.linalg.norm(node.value)) for name, node in named}
+            norms = {name: float(np.linalg.norm(node.value)) for name, node in params.items()}
             raise TrainingDivergedError(start // tcfg.batch_size, norms)
-        ad.zero_grads(node for _n, node in named)
+        ad.zero_grads(params.values())
         ad.backward(objective)
         sq = 0.0
-        for _name, node in named:
+        for node in params.values():
             if node.grad is not None:
                 sq += float((node.grad**2).sum())
         grad_norms.append(math.sqrt(sq))
-        optimizer.step(named)
+        optimizer.step(params.items())
         losses.append(value)
     return {"mean_loss": float(np.mean(losses)), "grad_norm": float(np.mean(grad_norms))}
 
@@ -189,7 +188,7 @@ class Metrics:
         }
 
 
-def evaluate(params: ModelParams, mcfg: ModelConfig, x: np.ndarray, y: np.ndarray,
+def evaluate(params: dict, mcfg: ModelConfig, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256, on_batch=None) -> Metrics:
     """Argmax predictions over a shard; positive class is index 1 (patient).
     `on_batch` is passed to `predict`."""
@@ -204,7 +203,7 @@ def evaluate(params: ModelParams, mcfg: ModelConfig, x: np.ndarray, y: np.ndarra
     return Metrics(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def _forward_values(segments: np.ndarray, params: ModelParams, mcfg: ModelConfig):
+def _forward_values(segments: np.ndarray, params: dict, mcfg: ModelConfig):
     """`forward_batch` reduced to numpy arrays: probs (B, C) and the
     diagnostics, "adj_inst" (B, N, N) or None and "assign" as a list of
     (B, N, N_r). The batch's autodiff graph is freed on return, so it is
@@ -214,7 +213,7 @@ def _forward_values(segments: np.ndarray, params: ModelParams, mcfg: ModelConfig
     return probs.value, {"adj_inst": adj_inst, "assign": [r.value for r in diag["assign"]]}
 
 
-def predict(params: ModelParams, mcfg: ModelConfig, x: np.ndarray, batch_size: int = 256,
+def predict(params: dict, mcfg: ModelConfig, x: np.ndarray, batch_size: int = 256,
             on_batch=None):
     """Argmax class per segment. `on_batch(start, diag)`, if given, receives
     each batch's first segment index and its diagnostics from `_forward_values`."""
@@ -227,7 +226,7 @@ def predict(params: ModelParams, mcfg: ModelConfig, x: np.ndarray, batch_size: i
     return np.concatenate(preds)
 
 
-def mean_assignment_entropy(params: ModelParams, mcfg: ModelConfig, x: np.ndarray,
+def mean_assignment_entropy(params: dict, mcfg: ModelConfig, x: np.ndarray,
                             batch_size: int = 256) -> float:
     """Mean over samples, pooling stages, and channels of the entropy of each
     assignment row. Returns nan for variants without pooling."""

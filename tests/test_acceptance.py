@@ -18,9 +18,11 @@ from hybridgnn import model as mdl
 from hybridgnn import pooling as pl
 from hybridgnn import training as tr
 from hybridgnn.cli import main as cli_main
-from hybridgnn.extractor import extract_features, init_extractor
+from hybridgnn.extractor import extract_features
 from hybridgnn.graphs import individual_adjacency, normalize_adjacency
 from hybridgnn.rng import substream
+
+from test_extractor import extractor_of
 
 TINY = mdl.ModelConfig(
     n_channels=4, feature_dim=4, proj_dim=4, out_dim=3, steps=2, region_steps=1,
@@ -41,11 +43,10 @@ def test_criterion_01_full_model_gradient_integrity():
     worst = 0.0
     for seed in range(10):
         params = mdl.init_model(TINY, seed=seed)
-        named = params.named_tensors()
         groups = {}
-        for i, (name, node) in enumerate(named):
-            groups.setdefault(params.group_of(name), []).append(i)
-        arrays = [node.value.copy() for _name, node in named]
+        for i, name in enumerate(params):
+            groups.setdefault(name.split(".")[0], []).append(i)
+        arrays = [node.value.copy() for node in params.values()]
 
         # resample the probe segment away from relu kinks
         data_rng = substream(seed, "gradcheck-data")
@@ -132,8 +133,8 @@ def test_criterion_04_stochasticity_invariants():
         n, f, n_r = int(rng.integers(2, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
         a_hat = ad.constant(np.eye(n))
         feats = ad.constant(rng.normal(size=(n, f)))
-        params = pl.PoolingParams(ad.constant(rng.normal(size=(f, n_r))), [])
-        assign = pl.assignment_matrix(a_hat, feats, params).value
+        proj = ad.constant(rng.normal(size=(f, n_r)))
+        assign = pl.assignment_matrix(a_hat, feats, proj).value
         worst_row = max(worst_row, float(np.abs(assign.sum(axis=1) - 1).max()))
     ok = worst_col < 1e-12 and worst_row < 1e-12
     _report(
@@ -155,15 +156,17 @@ def test_criterion_05_hand_computed_similarity_case():
 def _ignn_gpum_pipeline(n_channels=6):
     """Standalone individualized branch with pooling and a node-mean head."""
     cfg = dict(f=4, m=3, d=3, n_r=2)
-    extractor = init_extractor(substream(60, "ex"), ((5, 2, 1, 8), (3, 2, 8, cfg["f"])))
+    ex_cfg = mdl.ModelConfig(
+        n_channels=n_channels, feature_dim=cfg["f"], n_regions=cfg["n_r"],
+        extractor_layers=((5, 2, 1, 8), (3, 2, 8, cfg["f"])),
+    )
+    extractor = extractor_of(mdl.init_model(ex_cfg, 60), ex_cfg.extractor_layers)
     gen = substream(60, "w")
     w1 = ad.param(gen.normal(size=(cfg["f"], cfg["m"])))
     w2 = ad.param(gen.normal(size=(cfg["f"], cfg["m"])))
     weights = [ad.param(gen.normal(size=(cfg["f"], cfg["d"]))) for _ in range(3)]
-    pool_params = pl.PoolingParams(
-        ad.param(gen.normal(size=(cfg["f"], cfg["n_r"]))),
-        [ad.param(gen.normal(size=(cfg["f"], cfg["d"]))) for _ in range(2)],
-    )
+    proj = ad.param(gen.normal(size=(cfg["f"], cfg["n_r"])))
+    region = [ad.param(gen.normal(size=(cfg["f"], cfg["d"]))) for _ in range(2)]
     head_w = ad.param(gen.normal(size=(cfg["d"], 2)))
     head_b = ad.param(gen.normal(size=(2,)))
 
@@ -172,9 +175,9 @@ def _ignn_gpum_pipeline(n_channels=6):
         adj = individual_adjacency(feats, w1, w2)
         adj_hat = normalize_adjacency(adj)
         y = gcn.gcn_propagate(adj_hat, feats, weights)
-        assign = pl.assignment_matrix(adj_hat, feats, pool_params)
+        assign = pl.assignment_matrix(adj_hat, feats, proj)
         a_r, x_r = pl.pool(assign, adj, feats)
-        y_prime = ad.add(y, pl.unpool(assign, pl.region_conv(a_r, x_r, pool_params)))
+        y_prime = ad.add(y, pl.unpool(assign, pl.region_conv(a_r, x_r, region)))
         pooled = ad.mean(ad.relu(y_prime), axis=-2)
         probs = ad.softmax(ad.add(ad.matmul(pooled, head_w), head_b), axis=-1)
         return y_prime.value[0], probs.value[0]

@@ -8,6 +8,8 @@ import numpy as np
 from hybridgnn import data as dat
 from hybridgnn.cli import main, resolve_config, build_parser
 
+from test_model import _rewrite_header, unchain_extractor
+
 TINY_FLAGS = [
     "--synth", "--synth-subjects", "5", "--synth-seconds", "12", "--synth-fs", "32",
     "--n-channels", "4", "--feature-dim", "4", "--proj-dim", "4", "--out-dim", "3",
@@ -37,7 +39,7 @@ def test_train_variant_a_has_no_individualized_groups(tmp_path):
     from hybridgnn.model import load_params
 
     params, cfg = load_params(os.path.join(out, "params.bin"))
-    names = [n for n, _ in params.named_tensors()]
+    names = list(params)
     assert cfg.variant == "a"
     assert not any(n.startswith(("ignn", "inst_adj", "pool_")) for n in names)
 
@@ -141,6 +143,16 @@ def test_eval_refuses_params_with_trailing_bytes(tmp_path, capsys):
         fh.write(open(fixture, "rb").read() + bytes(24))
     assert run("eval", "--out", str(tmp_path / "ev"), "--params", path, *TINY_FLAGS) == 2
     assert "trailing bytes" in capsys.readouterr().err
+
+
+def test_eval_refuses_params_with_unchained_extractor(tmp_path, capsys):
+    fixture = os.path.join(os.path.dirname(__file__), "data", "params_v1_tiny_e.bin")
+    path = str(tmp_path / "params.bin")
+    with open(path, "wb") as fh:
+        fh.write(open(fixture, "rb").read())
+    _rewrite_header(path, lambda h: unchain_extractor(h, 1, (6, 2, 4, 4)))
+    assert run("eval", "--out", str(tmp_path / "ev"), "--params", path, *TINY_FLAGS) == 2
+    assert "does not chain" in capsys.readouterr().err
 
 
 def test_synth_command_writes_loadable_manifest(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -85,6 +86,32 @@ def test_segments_carry_subject_and_offsets():
     assert all(s.subject_id == "patient9" and s.label == "MDD" for s in segs)
     assert [s.offset for s in segs] == [0, 100, 200, 300, 400]
     assert all(s.label_index == 1 for s in segs)
+
+
+def test_segments_are_read_only_views_of_the_signal():
+    rec = _recording(20.0, 64.0)
+    segs = dat.segment_recording(rec, 4.0, 0.5)
+    for seg in segs:
+        assert np.shares_memory(seg.data, rec.signal)
+        assert not seg.data.flags.writeable
+        npt.assert_array_equal(seg.data, rec.signal[:, seg.offset : seg.offset + 256])
+
+
+def test_build_segments_copies_each_window_once():
+    # 180 windows of 19 x 1024 at 75 % overlap: stacking is the only copy
+    recs = [
+        dat.Recording(f"s{i}", "HC", 256.0, np.random.default_rng(i).normal(size=(19, 16128)),
+                      [f"c{j}" for j in range(19)])
+        for i in range(3)
+    ]
+    tracemalloc.start()
+    try:
+        ss = dat.build_segments(recs, 4.0, 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ss.x.shape == (180, 19, 1024) and ss.x.flags.c_contiguous
+    assert peak < 1.25 * ss.x.nbytes, f"peak {peak} B for {ss.x.nbytes} B of segments"
 
 
 # --- manifest format -----------------------------------------------------------

@@ -9,9 +9,23 @@ import pytest
 
 from hybridgnn import autodiff as ad
 from hybridgnn import extractor as ex
+from hybridgnn import model as mdl
 
 
 DEFAULT_SPECS = ex.default_extractor_layers(32)
+
+
+def extractor_of(params, specs):
+    """The extractor layers of a model's name -> node parameters."""
+    return ex.ExtractorParams([
+        (spec, params[f"extractor.{i}.w"], params[f"extractor.{i}.b"]) for i, spec in enumerate(specs)
+    ])
+
+
+def fresh_extractor(seed, specs=DEFAULT_SPECS):
+    """The extractor of a freshly initialized model with these layer specs."""
+    cfg = mdl.ModelConfig(feature_dim=specs[-1][3], extractor_layers=specs)
+    return extractor_of(mdl.init_model(cfg, seed), cfg.extractor_layers)
 
 
 def naive_conv1d(signal, kernel, stride):
@@ -62,20 +76,20 @@ def test_conv1d_signal_shorter_than_kernel():
 
 
 def test_default_shape_contract():
-    params = ex.init_extractor(np.random.default_rng(0), DEFAULT_SPECS)
+    params = fresh_extractor(0)
     seg = np.random.default_rng(1).normal(size=(19, 1024))
     feats = ex.extract_features(seg, params)
     assert feats.value.shape == (19, 32)
 
 
 def test_zero_segment_gives_zero_features():
-    params = ex.init_extractor(np.random.default_rng(0), DEFAULT_SPECS)
+    params = fresh_extractor(0)
     feats = ex.extract_features(np.zeros((19, 256)), params)
     npt.assert_array_equal(feats.value, np.zeros((19, 32)))
 
 
 def test_electrode_permutation_equivariance_exact():
-    params = ex.init_extractor(np.random.default_rng(2), DEFAULT_SPECS)
+    params = fresh_extractor(2)
     rng = np.random.default_rng(3)
     seg = rng.normal(size=(19, 128))
     base = ex.extract_features(seg, params).value
@@ -86,14 +100,14 @@ def test_electrode_permutation_equivariance_exact():
 
 
 def test_feature_shape_independent_of_values():
-    params = ex.init_extractor(np.random.default_rng(4), DEFAULT_SPECS)
+    params = fresh_extractor(4)
     for scale in (0.0, 1.0, 100.0):
         seg = scale * np.random.default_rng(5).normal(size=(7, 300))
         assert ex.extract_features(seg, params).value.shape == (7, 32)
 
 
 def test_batched_matches_per_segment():
-    params = ex.init_extractor(np.random.default_rng(6), DEFAULT_SPECS)
+    params = fresh_extractor(6)
     rng = np.random.default_rng(7)
     segs = rng.normal(size=(4, 5, 96))
     stacked = ex.extract_features(segs, params).value
@@ -105,7 +119,7 @@ def test_batched_matches_per_segment():
 
 def test_parameter_gradients():
     specs = ((3, 2, 1, 2), (3, 1, 2, 3))
-    params = ex.init_extractor(np.random.default_rng(8), specs)
+    params = fresh_extractor(8, specs)
     rng = np.random.default_rng(9)
     seg = rng.normal(size=(2, 16))
     arrays = []
@@ -126,7 +140,7 @@ def test_parameter_gradients():
 
 
 def test_too_short_segment_names_failing_layer():
-    params = ex.init_extractor(np.random.default_rng(10), DEFAULT_SPECS)
+    params = fresh_extractor(10)
     with pytest.raises(ValueError, match="layer 0"):
         ex.extract_features(np.zeros((3, 5)), params)
     # first layer fits but leaves too little for the second
@@ -135,9 +149,17 @@ def test_too_short_segment_names_failing_layer():
 
 
 def test_layer_chain_validation():
-    rng = np.random.default_rng(11)
+    # the model config refuses layer specs the extractor cannot run
     with pytest.raises(ValueError, match="chain"):
-        ex.init_extractor(rng, ((3, 1, 1, 4), (3, 1, 8, 2)))
+        mdl.ModelConfig(feature_dim=2, extractor_layers=((3, 1, 1, 4), (3, 1, 8, 2)))
+    with pytest.raises(ValueError, match="chain"):
+        mdl.ModelConfig(feature_dim=4, extractor_layers=((3, 1, 2, 4),))
+    with pytest.raises(ValueError, match="stride"):
+        mdl.ModelConfig(feature_dim=4, extractor_layers=((3, 0, 1, 4),))
+    with pytest.raises(ValueError, match="kernel"):
+        mdl.ModelConfig(feature_dim=4, extractor_layers=((0, 1, 1, 4),))
+    with pytest.raises(ValueError, match="at least one"):
+        mdl.ModelConfig(feature_dim=1, extractor_layers=())
 
 
 def test_zscore_normalizes_rows():
@@ -151,7 +173,7 @@ def test_zscore_normalizes_rows():
 def test_forward_backward_peak_below_whole_batch_im2col():
     # the blocked conv keeps no whole-batch im2col buffer: a B=8 19 x 1024
     # forward and backward must peak below the size of the one layer 2 would need
-    params = ex.init_extractor(np.random.default_rng(13), DEFAULT_SPECS)
+    params = fresh_extractor(13)
     seg = np.random.default_rng(14).normal(size=(8, 19, 1024))
     probe = ad.constant(np.cos(np.arange(8 * 19 * 32)).reshape(8, 19, 32))
     t_1 = ex.output_lengths(1024, DEFAULT_SPECS)[0]

@@ -139,10 +139,11 @@ def test_branch_outputs_rejects_mismatched_widths():
         extractor_layers=((5, 2, 1, 8), (3, 2, 8, 4)),
     )
     params = mdl.init_model(cfg, 0)
-    named = params.named_tensors()
-    nodes = [ad.param(np.ones((4, 5))) if n.startswith("cgnn.") else t for n, t in named]
+    nodes = [ad.param(np.ones((4, 5))) if n.startswith("cgnn.") else t for n, t in params.items()]
     with pytest.raises(ValueError, match="cgnn.0"):
         mdl.bind_params(cfg, nodes)
-    params.common_weights = _wrap([np.ones((4, 5))] * len(params.common_weights))
+    for name in mdl.param_shapes(cfg):
+        if name.startswith("cgnn."):
+            params[name] = ad.param(np.ones((4, 5)))
     with pytest.raises(ad.ShapeMismatch):
         mdl.forward_batch(np.random.default_rng(9).normal(size=(2, 4, 32)), params, cfg)

@@ -7,6 +7,7 @@ import pytest
 
 from hybridgnn import autodiff as ad
 from hybridgnn import graphs as gr
+from hybridgnn.model import ModelConfig, init_model
 
 
 def numpy_normalize(a):
@@ -21,7 +22,8 @@ def numpy_normalize(a):
 
 
 def test_fresh_init_range():
-    raw = gr.init_common_adjacency_raw(np.random.default_rng(0), 19)
+    raw = init_model(ModelConfig(variant="a"), seed=0)["common_adj.raw"]
+    assert raw.value.shape == (19, 19)
     adj = gr.common_adjacency(raw).value
     assert np.all(adj >= 0.0) and np.all(adj <= 0.05)
 
@@ -33,7 +35,7 @@ def test_common_adjacency_nonnegative_for_any_params():
 
 
 def test_common_adjacency_is_instance_independent():
-    raw = gr.init_common_adjacency_raw(np.random.default_rng(2), 5)
+    raw = ad.param(np.random.default_rng(2).uniform(0.0, 0.05, size=(5, 5)))
     npt.assert_array_equal(gr.common_adjacency(raw).value, gr.common_adjacency(raw).value)
 
 

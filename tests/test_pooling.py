@@ -13,31 +13,32 @@ from hybridgnn.extractor import extract_features
 from hybridgnn.gcn import gcn_propagate
 from hybridgnn.graphs import common_adjacency, individual_adjacency, normalize_adjacency
 
+from test_extractor import extractor_of
 from test_graphs import numpy_normalize
 
 
-def _setup(rng, n=6, f=4, m=3, n_regions=3, d=2):
+def _setup(rng, n=6, f=4, m=3, n_regions=3):
+    """Features, their individualized adjacency and an assignment projection."""
     x = rng.normal(size=(n, f))
     w1 = ad.param(rng.normal(size=(f, m)))
     w2 = ad.param(rng.normal(size=(f, m)))
     adj = individual_adjacency(ad.constant(x), w1, w2)
-    params = pl.init_pooling(rng, f, n_regions, region_steps=1, out_dim=d)
-    return x, adj, params
+    return x, adj, ad.param(rng.normal(size=(f, n_regions)))
 
 
 def test_zero_projection_gives_uniform_rows():
     rng = np.random.default_rng(0)
-    x, adj, params = _setup(rng)
-    params.assign_proj.value = np.zeros_like(params.assign_proj.value)
-    assign = pl.assignment_matrix(normalize_adjacency(adj), ad.constant(x), params).value
+    x, adj, _proj = _setup(rng)
+    proj = ad.param(np.zeros((4, 3)))
+    assign = pl.assignment_matrix(normalize_adjacency(adj), ad.constant(x), proj).value
     npt.assert_allclose(assign, np.full((6, 3), 1 / 3), atol=1e-15)
 
 
 def test_assignment_rows_sum_to_one():
     rng = np.random.default_rng(1)
     for _ in range(25):
-        x, adj, params = _setup(rng)
-        assign = pl.assignment_matrix(normalize_adjacency(adj), ad.constant(x), params).value
+        x, adj, proj = _setup(rng)
+        assign = pl.assignment_matrix(normalize_adjacency(adj), ad.constant(x), proj).value
         npt.assert_allclose(assign.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((assign > 0) & (assign < 1))
 
@@ -82,10 +83,9 @@ def test_region_conv_two_term_oracle():
     rng = np.random.default_rng(5)
     adj_r = rng.uniform(0, 1, size=(3, 3))
     feats_r = rng.normal(size=(3, 4))
-    params = pl.init_pooling(rng, 4, 3, region_steps=1, out_dim=2)
-    out = pl.region_conv(ad.constant(adj_r), ad.constant(feats_r), params).value
+    w0, w1 = rng.normal(size=(2, 4, 2))
+    out = pl.region_conv(ad.constant(adj_r), ad.constant(feats_r), [ad.param(w0), ad.param(w1)]).value
     a_hat = numpy_normalize(adj_r)
-    w0, w1 = (w.value for w in params.region_weights)
     npt.assert_allclose(out, feats_r @ w0 + a_hat @ feats_r @ w1, atol=1e-12)
 
 
@@ -138,10 +138,12 @@ def test_merge_zero_context_preserves_branch(monkeypatch):
     # half is the plain propagation output
     segs = np.random.default_rng(8).normal(size=(2, 5, 32))
     params = mdl.init_model(FULL, 8)
-    params.pool_inst.region_weights = [ad.param(np.zeros((4, 3))) for _ in range(2)]
-    feats = extract_features(segs, params.extractor)
-    adj = individual_adjacency(feats, params.inst_w1, params.inst_w2)
-    y_i = gcn_propagate(normalize_adjacency(adj), feats, params.inst_weights).value
+    for l in range(2):
+        params[f"pool_inst.region.{l}"] = ad.param(np.zeros((4, 3)))
+    feats = extract_features(segs, extractor_of(params, FULL.extractor_layers))
+    adj = individual_adjacency(feats, params["inst_adj.w1"], params["inst_adj.w2"])
+    ignn = [params[f"ignn.{l}"] for l in range(FULL.steps + 1)]
+    y_i = gcn_propagate(normalize_adjacency(adj), feats, ignn).value
     merged = _merged(monkeypatch, params, segs)
     npt.assert_array_equal(merged[..., :3], y_i)
     assert merged.shape == (2, 5, 6)
@@ -150,9 +152,10 @@ def test_merge_zero_context_preserves_branch(monkeypatch):
 def test_merge_slice_recovers_common_half_bit_exact(monkeypatch):
     segs = np.random.default_rng(9).normal(size=(2, 5, 32))
     params = mdl.init_model(FULL, 9)
-    feats = extract_features(segs, params.extractor)
-    a_hat = normalize_adjacency(common_adjacency(params.common_adj_raw))
-    y_c = gcn_propagate(a_hat, feats, params.common_weights).value
+    feats = extract_features(segs, extractor_of(params, FULL.extractor_layers))
+    a_hat = normalize_adjacency(common_adjacency(params["common_adj.raw"]))
+    cgnn = [params[f"cgnn.{l}"] for l in range(FULL.steps + 1)]
+    y_c = gcn_propagate(a_hat, feats, cgnn).value
     npt.assert_array_equal(_merged(monkeypatch, params, segs)[..., 3:], y_c)
 
 
@@ -160,12 +163,13 @@ def test_merge_rejects_mismatched_dims():
     segs = np.random.default_rng(10).normal(size=(2, 5, 32))
     # region context of another width than the branch output
     params = mdl.init_model(FULL, 10)
-    params.pool_inst.region_weights = [ad.param(np.ones((4, 2))) for _ in range(2)]
+    for l in range(2):
+        params[f"pool_inst.region.{l}"] = ad.param(np.ones((4, 2)))
     with pytest.raises(ad.ShapeMismatch):
         mdl.forward_batch(segs, params, FULL)
     # common branch over another number of nodes than the individualized one
     params = mdl.init_model(FULL, 10)
-    params.common_adj_raw = ad.param(np.ones((4, 4)))
+    params["common_adj.raw"] = ad.param(np.ones((4, 4)))
     with pytest.raises(ad.ShapeMismatch):
         mdl.forward_batch(segs, params, FULL)
 
@@ -173,8 +177,8 @@ def test_merge_rejects_mismatched_dims():
 def test_pooling_conserves_feature_mass():
     rng = np.random.default_rng(10)
     for _ in range(20):
-        x, adj, params = _setup(rng)
-        assign = pl.assignment_matrix(normalize_adjacency(adj), ad.constant(x), params)
+        x, adj, proj = _setup(rng)
+        assign = pl.assignment_matrix(normalize_adjacency(adj), ad.constant(x), proj)
         _a_r, x_r = pl.pool(assign, adj, ad.constant(x))
         npt.assert_allclose(x_r.value.sum(axis=0), x.sum(axis=0), atol=1e-10)
 
@@ -185,14 +189,15 @@ def test_pooled_path_permutation_equivariance():
     x = rng.normal(size=(n, f))
     w1 = ad.param(rng.normal(size=(f, m)))
     w2 = ad.param(rng.normal(size=(f, m)))
-    params = pl.init_pooling(rng, f, 3, region_steps=1, out_dim=d)
+    proj = ad.param(rng.normal(size=(f, 3)))
+    region = [ad.param(rng.normal(size=(f, d))) for _ in range(2)]
 
     def run(feats):
         adj = individual_adjacency(ad.constant(feats), w1, w2)
         adj_hat = normalize_adjacency(adj)
-        assign = pl.assignment_matrix(adj_hat, ad.constant(feats), params)
+        assign = pl.assignment_matrix(adj_hat, ad.constant(feats), proj)
         a_r, x_r = pl.pool(assign, adj, ad.constant(feats))
-        up = pl.unpool(assign, pl.region_conv(a_r, x_r, params))
+        up = pl.unpool(assign, pl.region_conv(a_r, x_r, region))
         return assign.value, a_r.value, up.value
 
     assign0, a_r0, up0 = run(x)
@@ -218,10 +223,9 @@ def test_end_to_end_pooling_gradients():
         w1n, w2n, projn, rw0, rw1 = leaves
         adj = individual_adjacency(ad.constant(x), w1n, w2n)
         adj_hat = normalize_adjacency(adj)
-        params = pl.PoolingParams(projn, [rw0, rw1])
-        assign = pl.assignment_matrix(adj_hat, ad.constant(x), params)
+        assign = pl.assignment_matrix(adj_hat, ad.constant(x), projn)
         a_r, x_r = pl.pool(assign, adj, ad.constant(x))
-        up = pl.unpool(assign, pl.region_conv(a_r, x_r, params))
+        up = pl.unpool(assign, pl.region_conv(a_r, x_r, [rw0, rw1]))
         return ad.reduce_sum(ad.mul(up, ad.constant(probe)))
 
     assert ad.gradient_check(f, [w1, w2, proj] + rws, eps=1e-5) < 1e-4

@@ -145,12 +145,12 @@ def test_zero_lr_optimizer_is_a_no_op():
     cfg = tiny_config()
     tcfg = tr.TrainConfig(seed=6, max_epochs=1, batch_size=8)
     params = mdl.init_model(cfg, 1)
-    before = [n.value.copy() for _, n in params.named_tensors()]
+    before = [n.value.copy() for n in params.values()]
     opt = tr._Sgd(0.0)
     rng = np.random.default_rng(0)
     first = tr.train_epoch(params, cfg, tcfg, ss.x, ss.y, opt, rng)
     second = tr.train_epoch(params, cfg, tcfg, ss.x, ss.y, opt, rng)
-    for (_, node), old in zip(params.named_tensors(), before):
+    for node, old in zip(params.values(), before):
         npt.assert_array_equal(node.value, old)
     npt.assert_allclose(first["mean_loss"], second["mean_loss"], atol=1e-12)
 
@@ -174,7 +174,7 @@ def test_divergence_aborts_with_diagnostics():
     cfg = tiny_config()
     tcfg = tr.TrainConfig(seed=7, max_epochs=1, batch_size=8)
     params = mdl.init_model(cfg, 2)
-    params.head_w.value = params.head_w.value + np.inf
+    params["head.w"].value = params["head.w"].value + np.inf
     with pytest.raises(tr.TrainingDivergedError) as info, np.errstate(invalid="ignore"):
         tr.train_epoch(params, cfg, tcfg, ss.x, ss.y, tr._Sgd(1e-3), np.random.default_rng(0))
     assert info.value.batch_index == 0
@@ -200,10 +200,7 @@ def test_adam_and_sgd_update_parameters():
         tcfg = tr.TrainConfig(seed=8, max_epochs=1, batch_size=8, optimizer=optimizer)
         params, _ = tr.train_model(ss.x, ss.y, cfg, tcfg)
         fresh = mdl.init_model(cfg, tr.subseed(tcfg.seed, "params"))
-        moved = [
-            not np.array_equal(a.value, b.value)
-            for (_, a), (_, b) in zip(params.named_tensors(), fresh.named_tensors())
-        ]
+        moved = [not np.array_equal(params[name].value, node.value) for name, node in fresh.items()]
         assert any(moved)
 
 
