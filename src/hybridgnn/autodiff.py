@@ -235,126 +235,169 @@ def concat(nodes, axis: int) -> Node:
     return Node(np.concatenate([n.value for n in nodes], axis=axis), "concat", tuple(nodes), bwd)
 
 
-# bytes of im2col and output rows per block of conv1d: one block stays in a
-# core's L2 cache (set by timing B=128 19 x 1024 train steps)
+# bytes of im2col and output rows per block of conv1d's largest layer: one
+# block stays in a core's L2 cache (set by timing B=128 19 x 1024 train steps)
 CONV_BLOCK_BYTES = 384 * 1024
 
 
-def conv1d(
-    x: Node,
-    w: Node,
-    stride: int = 1,
-    bias: Node | None = None,
-    relu: bool = False,
-    time_mean: bool = False,
-) -> Node:
-    """Valid 1-D convolution over the time axis, channels last.
+class _ConvLayer:
+    """One layer of a conv1d stack: its shapes, flattened kernel and bias, and
+    the kernel split into phase groups for the input gradient."""
 
-    x: (..., T, C_in); w: (k, C_in, C_out) -> (..., T_out, C_out) with
-    T_out = (T - k)//stride + 1. Leading axes of x are independent signals
-    (e.g. batch and electrode), never mixed by the kernel. An optional
-    (C_out,) bias is added inside the op.
+    def __init__(self, w: np.ndarray, b, stride: int, t_in: int):
+        k, c_in, c_out = w.shape
+        self.k, self.c_in, self.c_out, self.stride, self.t_in = k, c_in, c_out, stride, t_in
+        self.t_out = (t_in - k) // stride + 1
+        self.w_flat = w.reshape(k * c_in, c_out)
+        self.b = b
+        # input gradient by phase groups: time is laid out as (rows, stride*C_in)
+        # and the kernel zero-padded to whole groups of `stride` taps; group q is
+        # one GEMM added into the contiguous rows q..q+T_out
+        groups = -(-k // stride)
+        self.rows = -(-t_in // stride) + groups
+        w_pad = np.zeros((groups * stride, c_in, c_out))
+        w_pad[:k] = w
+        self.w_groups = [np.ascontiguousarray(g.T) for g in w_pad.reshape(groups, stride * c_in, c_out)]
 
-    The epilogue can be fused: `relu` applies relu in place on the output,
-    and `time_mean` returns the mean over T_out, shaped (..., C_out), so the
-    full activation is never kept. The signals are processed in blocks of
-    about CONV_BLOCK_BYTES of im2col and output rows; each block's im2col
-    rows are built in forward and again in backward, so no whole-batch
-    im2col buffer is kept.
-    """
-    if x.value.ndim < 2 or w.value.ndim != 3 or x.value.shape[-1] != w.value.shape[1]:
-        raise ShapeMismatch("conv1d", x.value.shape, w.value.shape)
-    k, c_in, c_out = w.value.shape
-    if bias is not None and bias.value.shape != (c_out,):
-        raise ShapeMismatch("conv1d", bias.value.shape, w.value.shape)
-    t = x.value.shape[-2]
-    if t < k:
-        raise ShapeMismatch("conv1d", x.value.shape, w.value.shape)
-    t_out = (t - k) // stride + 1
-
-    xv = np.ascontiguousarray(x.value)
-    lead = xv.shape[:-2]
-    signals = xv.reshape(-1, t, c_in)
-    w_flat = w.value.reshape(k * c_in, c_out)
-    b = None if bias is None else bias.value
-    per_block = max(1, CONV_BLOCK_BYTES // (8 * (k * c_in + c_out) * t_out))
-    blocks = [slice(i, i + per_block) for i in range(0, len(signals), per_block)]
-
-    def im2col(sl):
-        xb = signals[sl]
-        st = xb.strides
+    def im2col(self, a: np.ndarray) -> np.ndarray:
+        """(n·T_out, k·C_in) rows of a contiguous block a (n, T_in, C_in)."""
+        st = a.strides
         # one window of k taps x C_in channels is contiguous in a signal
         windows = as_strided(
-            xb, shape=(len(xb), t_out, k * c_in), strides=(st[0], st[1] * stride, st[2])
+            a, shape=(len(a), self.t_out, self.k * self.c_in), strides=(st[0], st[1] * self.stride, st[2])
         )
-        return windows.reshape(-1, k * c_in)
+        return windows.reshape(-1, self.k * self.c_in)
 
-    def preactivation(cols, out=None):
-        z = np.matmul(cols, w_flat, out=out)
-        if b is not None:
-            z += b
-        return z
+    def input_grad(self, gz: np.ndarray, n: int) -> np.ndarray:
+        """(n, T_in, C_in) gradient of a block's input from its (n·T_out, C_out)
+        pre-activation gradient."""
+        g_rows = np.zeros((n, self.rows, self.stride * self.c_in))
+        for q, wq in enumerate(self.w_groups):
+            g_rows[:, q : q + self.t_out] += (gz @ wq).reshape(n, self.t_out, -1)
+        return g_rows.reshape(n, -1, self.c_in)[:, : self.t_in]
 
-    out = np.empty((len(signals), c_out) if time_mean else (len(signals), t_out, c_out))
+
+def conv1d(x: Node, layers, relu: bool = False, time_mean: bool = False) -> Node:
+    """A stack of valid 1-D convolutions over the time axis, channels last,
+    as one node.
+
+    x: (..., T, C_in); layers: [(w, b, stride), ...] with w shaped
+    (k, C_in, C_out), each layer's C_in the previous layer's C_out, and b a
+    (C_out,) bias or None. Each layer maps length T to
+    T_out = (T - k)//stride + 1. Leading axes of x are independent signals
+    (e.g. batch and electrode), never mixed by the kernels.
+
+    `relu` applies relu after every layer, and `time_mean` returns the mean
+    of the last layer's output over time, shaped (..., C_out). The signals go
+    through every layer in blocks of about CONV_BLOCK_BYTES of im2col and
+    output rows of the largest layer, so no whole-batch intermediate
+    activation, im2col buffer or inner gradient is ever allocated. Forward
+    keeps only the output and, with relu and time_mean, the last layer's relu
+    mask as packed bits; backward recomputes the earlier layers block by
+    block.
+    """
+    xv = np.ascontiguousarray(x.value)
+    if xv.ndim < 2:
+        raise ShapeMismatch("conv1d", xv.shape)
+    if not layers:
+        raise ValueError("conv1d: no layers")
+    signals = xv.reshape(-1, *xv.shape[-2:])
+    t, c = signals.shape[1:]
+    convs = []
+    parents = [x]
+    for w, b, stride in layers:
+        if w.value.ndim != 3 or w.value.shape[1] != c or t < w.value.shape[0]:
+            raise ShapeMismatch("conv1d", xv.shape[:-2] + (t, c), w.value.shape)
+        if b is not None and b.value.shape != w.value.shape[2:]:
+            raise ShapeMismatch("conv1d", b.value.shape, w.value.shape)
+        convs.append(_ConvLayer(w.value, None if b is None else b.value, stride, t))
+        parents += [w] if b is None else [w, b]
+        t, c = convs[-1].t_out, convs[-1].c_out
+    last = convs[-1]
+    largest = max(8 * (lay.k * lay.c_in + lay.c_out) * lay.t_out for lay in convs)
+    per_block = max(1, CONV_BLOCK_BYTES // largest)
+    blocks = [slice(i, i + per_block) for i in range(0, len(signals), per_block)]
+
+    def push(a, n_layers, out=None, margins=None):
+        """Run block a (n, T, C_in) through the first `n_layers` layers, the
+        last one's GEMM into `out`; returns each layer's im2col rows and output
+        rows (relu applied), and the block's last output (n, T_out, C_out)."""
+        steps = []
+        for lay in convs[:n_layers]:
+            cols = lay.im2col(a)
+            z = np.matmul(cols, lay.w_flat, out=out if lay is last else None)
+            if lay.b is not None:
+                z += lay.b
+            if margins is not None:
+                margins.append(float(np.abs(z).min()))
+            if relu:
+                np.maximum(z, 0.0, out=z)
+            steps.append((cols, z))
+            a = z.reshape(len(a), lay.t_out, lay.c_out)
+        return steps, a
+
+    out = np.empty((len(signals), c) if time_mean else (len(signals), t, c))
+    # relu mask of the last layer when its output is averaged away, one row of
+    # bits per signal: backward reads it instead of recomputing that GEMM
+    bits = np.empty((len(signals), -(-t * c // 8)), np.uint8) if relu and time_mean else None
     for sl in blocks:
-        z = preactivation(im2col(sl), out=None if time_mean else out[sl].reshape(-1, c_out))
-        if relu:
-            np.maximum(z, 0.0, out=z)
+        _, a = push(signals[sl], len(convs), out=None if time_mean else out[sl].reshape(-1, c))
+        if bits is not None:
+            bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
         if time_mean:
-            out[sl] = z.reshape(-1, t_out, c_out).mean(axis=1)
-
-    # input gradient by phase groups: time is laid out as (rows, stride*C_in)
-    # and the kernel zero-padded to whole groups of `stride` taps; group q is
-    # one GEMM added into the contiguous rows q..q+T_out
-    groups = -(-k // stride)
-    rows = -(-t // stride) + groups
-    w_pad = np.zeros((groups * stride, c_in, c_out))
-    w_pad[:k] = w.value
-    w_groups = [np.ascontiguousarray(g.T) for g in w_pad.reshape(groups, stride * c_in, c_out)]
+            out[sl] = a.mean(axis=1)
 
     def bwd(g):
         g = g.reshape(out.shape)
-        gw = np.zeros_like(w_flat)
-        gb = None if bias is None else np.zeros(c_out)
-        g_rows = np.zeros((len(signals), rows, stride * c_in)) if x.needs_grad else None
+        gws = [np.zeros_like(lay.w_flat) for lay in convs]
+        gbs = [None if lay.b is None else np.zeros(lay.c_out) for lay in convs]
+        gx = np.empty(signals.shape) if x.needs_grad else None
 
         # one block per call, so its temporaries are freed before the next
         def accumulate(sl):
-            cols = im2col(sl)
+            steps, a = push(signals[sl], len(convs) - 1)
+            n = len(a)
+            cols = [step_cols for step_cols, _z in steps] + [last.im2col(a)]
             if time_mean:
-                g_mean = (g[sl] / t_out)[:, None, :]
+                g_mean = (g[sl] / t)[:, None, :]
                 if relu:
-                    z = preactivation(cols).reshape(-1, t_out, c_out)
-                    gz = np.multiply(g_mean, z > 0.0, out=z)
+                    gz = g_mean * np.unpackbits(bits[sl], axis=-1, count=t * c).reshape(n, t, c)
                 else:
-                    gz = np.repeat(g_mean, t_out, axis=1)
+                    gz = np.repeat(g_mean, t, axis=1)
             else:
                 gz = g[sl]
                 if relu:
                     gz = gz * (out[sl] > 0.0)
-            gz = gz.reshape(-1, c_out)
-            gw[...] += cols.T @ gz
-            if gb is not None:
-                gb[...] += gz.sum(axis=0)
-            if g_rows is not None:
-                g_block = g_rows[sl]
-                for q, wq in enumerate(w_groups):
-                    g_block[:, q : q + t_out] += (gz @ wq).reshape(-1, t_out, stride * c_in)
+            gz = gz.reshape(-1, c)
+            for i in range(len(convs) - 1, -1, -1):
+                gws[i] += cols[i].T @ gz
+                if gbs[i] is not None:
+                    gbs[i] += gz.sum(axis=0)
+                if i > 0:
+                    ga = convs[i].input_grad(gz, n)
+                    if relu:
+                        ga = ga * (steps[i - 1][1].reshape(ga.shape) > 0.0)
+                    gz = ga.reshape(-1, convs[i - 1].c_out)
+                elif gx is not None:
+                    gx[sl] = convs[0].input_grad(gz, n)
 
         for sl in blocks:
             accumulate(sl)
-        gw = gw.reshape(k, c_in, c_out)
-        gx = None
-        if g_rows is not None:
-            gx = g_rows.reshape(len(signals), rows * stride, c_in)[:, :t].reshape(xv.shape)
-        return (gx, gw) if bias is None else (gx, gw, gb)
+        grads = [None if gx is None else gx.reshape(xv.shape)]
+        for lay, gw, gb in zip(convs, gws, gbs):
+            grads.append(gw.reshape(lay.k, lay.c_in, lay.c_out))
+            if gb is not None:
+                grads.append(gb)
+        return tuple(grads)
 
     def kink():
-        return min(float(np.abs(preactivation(im2col(sl))).min()) for sl in blocks)
+        margins = []
+        for sl in blocks:
+            push(signals[sl], len(convs), margins=margins)
+        return min(margins)
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    out_shape = lead + out.shape[1:]
-    return Node(out.reshape(out_shape), "conv1d", parents, bwd, kink=kink if relu else None)
+    out_shape = xv.shape[:-2] + out.shape[1:]
+    return Node(out.reshape(out_shape), "conv1d", tuple(parents), bwd, kink=kink if relu else None)
 
 
 def _toposort(root: Node):

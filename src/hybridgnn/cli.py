@@ -310,10 +310,13 @@ def _export_graphs(graph_dir: str, start: int, diag: dict) -> None:
     stacks = [] if diag["adj_inst"] is None else [("adj_inst", diag["adj_inst"])]
     stacks += [(f"assign_{j}", assign) for j, assign in enumerate(diag["assign"])]
     for name, stack in stacks:
+        rows, cols = stack.shape[1:]
+        # one format call per file, with the bytes of row-by-row "%.18e" output
+        fmt = "\n".join([" ".join(["%.18e"] * cols)] * rows)
         for offset, matrix in enumerate(stack):
             np.savetxt(
                 os.path.join(graph_dir, f"sample_{start + offset:05d}_{name}.txt"),
-                matrix, fmt="%.18e",
+                matrix.reshape(1, -1), fmt=fmt,
             )
 
 

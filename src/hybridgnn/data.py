@@ -43,6 +43,13 @@ class UnknownLabelError(DatasetError):
     pass
 
 
+class ManifestKeyError(DatasetError):
+    """A manifest entry lacks a required key."""
+
+
+MANIFEST_KEYS = ("subject_id", "label", "sampling_rate", "channels", "n_samples", "data_file")
+
+
 @dataclass
 class Recording:
     subject_id: str
@@ -156,7 +163,13 @@ def load_dataset(manifest_path: str):
     base = os.path.dirname(os.path.abspath(manifest_path))
     recordings = []
     seen = set()
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DatasetError(f"{manifest_path}: entry {i} is not a JSON object")
+        for key in MANIFEST_KEYS:
+            if key not in entry:
+                who = f" (subject {entry['subject_id']!r})" if "subject_id" in entry else ""
+                raise ManifestKeyError(f"{manifest_path}: entry {i}{who} lacks required key {key!r}")
         label = entry["label"]
         if label not in LABEL_INDEX:
             raise UnknownLabelError(f"unknown label {label!r} for subject {entry['subject_id']}")

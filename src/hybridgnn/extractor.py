@@ -60,8 +60,6 @@ def extract_features(segment: np.ndarray, params: ExtractorParams) -> ad.Node:
     specs = [layer[0] for layer in params.layers]
     output_lengths(segment.shape[-1], specs)
     x = ad.constant(zscore(segment)[..., None])  # channels-last: (..., N, T_s, 1)
-    last = len(params.layers) - 1
-    for i, ((_k, stride, _c_in, _c_out), w, b) in enumerate(params.layers):
-        # relu fused into every conv; the last one also averages over time
-        x = ad.conv1d(x, w, stride=stride, bias=b, relu=True, time_mean=i == last)
-    return x
+    layers = [(w, b, stride) for (_k, stride, _c_in, _c_out), w, b in params.layers]
+    # the whole stack is one node: relu after every layer, then the time-mean
+    return ad.conv1d(x, layers, relu=True, time_mean=True)

@@ -1,6 +1,8 @@
 """Engine tests: forward semantics of every primitive plus gradient checks
 against central finite differences."""
 
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -98,7 +100,7 @@ def case_concat(rng):
 def case_conv1d(rng):
     x = rng.normal(size=(2, 3, 11, 2))
     w = rng.normal(size=(4, 2, 3))
-    return lambda l: scalar_readout(ad.conv1d(l[0], l[1], stride=2)), [x, w]
+    return lambda l: scalar_readout(ad.conv1d(l[0], [(l[1], None, 2)])), [x, w]
 
 
 def case_conv1d_bias(rng):
@@ -106,28 +108,31 @@ def case_conv1d_bias(rng):
     w = rng.normal(size=(3, 1, 4))
     b = rng.normal(size=(4,))
     return (
-        lambda l: scalar_readout(ad.conv1d(l[0], l[1], stride=3, bias=l[2])),
+        lambda l: scalar_readout(ad.conv1d(l[0], [(l[1], l[2], 3)])),
         [x, w, b],
     )
 
 
-def _fused_conv1d(rng, x_shape, k, c_out, stride, bias, time_mean, x_grad):
-    """conv1d with relu fused (and optionally the time-mean); inputs are
-    redrawn until every pre-activation is away from the relu kink."""
+def _conv_stack(rng, x_shape, layers, bias, time_mean, x_grad, relu=True):
+    """conv1d over a stack of (k, C_out, stride) layers, with relu after each
+    (and optionally the time-mean); inputs are redrawn until every layer's
+    pre-activations are away from the relu kink."""
     while True:
         x = rng.normal(size=x_shape)
-        w = rng.normal(size=(k, x_shape[-1], c_out))
-        b = rng.normal(size=(c_out,)) if bias else None
+        arrays = [x] if x_grad else []
+        c_in = x_shape[-1]
+        for k, c_out, _stride in layers:
+            arrays.append(rng.normal(size=(k, c_in, c_out)))
+            if bias:
+                arrays.append(rng.normal(size=(c_out,)))
+            c_in = c_out
 
-        def f(leaves, x=x, b=b):
-            leaves = list(leaves)
-            xn = leaves.pop(0) if x_grad else ad.constant(x)
-            wn = leaves.pop(0)
-            bn = leaves.pop(0) if bias else None
-            out = ad.conv1d(xn, wn, stride=stride, bias=bn, relu=True, time_mean=time_mean)
-            return scalar_readout(out)
+        def f(leaves, x=x):
+            leaves = iter(leaves)
+            xn = next(leaves) if x_grad else ad.constant(x)
+            stack = [(next(leaves), next(leaves) if bias else None, stride) for _k, _c, stride in layers]
+            return scalar_readout(ad.conv1d(xn, stack, relu=relu, time_mean=time_mean))
 
-        arrays = ([x] if x_grad else []) + [w] + ([b] if bias else [])
         if ad.kink_margin(f([ad.constant(a) for a in arrays])) > 1e-3:
             return f, arrays
 
@@ -136,42 +141,71 @@ def case_conv1d_mean(rng):
     # time-mean without relu
     x = rng.normal(size=(2, 10, 2))
     w = rng.normal(size=(3, 2, 3))
-    return lambda l: scalar_readout(ad.conv1d(l[0], l[1], stride=2, time_mean=True)), [x, w]
+    return lambda l: scalar_readout(ad.conv1d(l[0], [(l[1], None, 2)], time_mean=True)), [x, w]
 
 
 def case_conv1d_relu(rng):
     # stride 2 does not divide T = 11
-    return _fused_conv1d(rng, (2, 3, 11, 2), k=4, c_out=3, stride=2,
-                         bias=True, time_mean=False, x_grad=True)
+    return _conv_stack(rng, (2, 3, 11, 2), [(4, 3, 2)],
+                       bias=True, time_mean=False, x_grad=True)
 
 
 def case_conv1d_relu_mean(rng):
     # stride 3 does not divide T = 10
-    return _fused_conv1d(rng, (3, 10, 2), k=3, c_out=4, stride=3,
-                         bias=True, time_mean=True, x_grad=True)
+    return _conv_stack(rng, (3, 10, 2), [(3, 4, 3)],
+                       bias=True, time_mean=True, x_grad=True)
 
 
 def case_conv1d_relu_short_kernel(rng):
     # kernel shorter than the stride: some samples feed no output
-    return _fused_conv1d(rng, (2, 13, 3), k=2, c_out=2, stride=3,
-                         bias=False, time_mean=False, x_grad=True)
+    return _conv_stack(rng, (2, 13, 3), [(2, 2, 3)],
+                       bias=False, time_mean=False, x_grad=True)
 
 
 def case_conv1d_relu_mean_full_kernel(rng):
     # k == T at stride 1: one output step
-    return _fused_conv1d(rng, (2, 7, 2), k=7, c_out=3, stride=1,
-                         bias=False, time_mean=True, x_grad=True)
+    return _conv_stack(rng, (2, 7, 2), [(7, 3, 1)],
+                       bias=False, time_mean=True, x_grad=True)
 
 
 def case_conv1d_relu_constant_input(rng):
     # first extractor layer: the input needs no gradient
-    return _fused_conv1d(rng, (2, 3, 16, 1), k=3, c_out=4, stride=2,
-                         bias=True, time_mean=False, x_grad=False)
+    return _conv_stack(rng, (2, 3, 16, 1), [(3, 4, 2)],
+                       bias=True, time_mean=False, x_grad=False)
 
 
 def case_conv1d_relu_mean_constant_input(rng):
-    return _fused_conv1d(rng, (2, 3, 16, 1), k=5, c_out=2, stride=4,
-                         bias=True, time_mean=True, x_grad=False)
+    return _conv_stack(rng, (2, 3, 16, 1), [(5, 2, 4)],
+                       bias=True, time_mean=True, x_grad=False)
+
+
+def case_conv1d_stack2_relu(rng):
+    # stride 2 divides neither T = 23 nor layer 1's 10 outputs
+    return _conv_stack(rng, (2, 3, 23, 2), [(4, 3, 2), (3, 2, 2)],
+                       bias=True, time_mean=False, x_grad=True)
+
+
+def case_conv1d_stack2_relu_mean_constant_input(rng):
+    # the extractor's shape of stack: the input needs no gradient
+    return _conv_stack(rng, (2, 3, 40, 1), [(7, 4, 4), (3, 3, 2)],
+                       bias=True, time_mean=True, x_grad=False)
+
+
+def case_conv1d_stack2_mean(rng):
+    # no relu: a linear stack
+    return _conv_stack(rng, (2, 14, 2), [(3, 3, 2), (2, 2, 1)],
+                       bias=True, time_mean=True, x_grad=True, relu=False)
+
+
+def case_conv1d_stack3_relu_mean_short_kernel(rng):
+    # the first kernel is shorter than its stride; no bias
+    return _conv_stack(rng, (3, 30, 2), [(2, 3, 3), (3, 2, 1), (2, 2, 2)],
+                       bias=False, time_mean=True, x_grad=True)
+
+
+def case_conv1d_stack3_relu_constant_input(rng):
+    return _conv_stack(rng, (2, 2, 26, 1), [(3, 3, 2), (2, 2, 3), (2, 2, 1)],
+                       bias=True, time_mean=False, x_grad=False)
 
 
 ALL_CASES = [
@@ -181,6 +215,8 @@ ALL_CASES = [
     case_conv1d, case_conv1d_bias, case_conv1d_mean, case_conv1d_relu, case_conv1d_relu_mean,
     case_conv1d_relu_short_kernel, case_conv1d_relu_mean_full_kernel,
     case_conv1d_relu_constant_input, case_conv1d_relu_mean_constant_input,
+    case_conv1d_stack2_relu, case_conv1d_stack2_relu_mean_constant_input, case_conv1d_stack2_mean,
+    case_conv1d_stack3_relu_mean_short_kernel, case_conv1d_stack3_relu_constant_input,
 ]
 
 
@@ -188,7 +224,8 @@ ALL_CASES = [
 def test_backward_matches_finite_differences(builder):
     # >= 100 random shape/seed combinations across the parametrized cases
     for seed in range(6):
-        f, arrays = builder(np.random.default_rng(hash((builder.__name__, seed)) % 2**32))
+        # a stable hash (str hashes are salted per process), so a failure replays
+        f, arrays = builder(np.random.default_rng(zlib.crc32(f"{builder.__name__}:{seed}".encode())))
         err = ad.gradient_check(f, arrays, eps=1e-5)
         assert err < 1e-5, f"{builder.__name__} seed {seed}: rel err {err}"
 
@@ -258,7 +295,7 @@ def test_shape_mismatch_error_names_op_and_shapes():
     with pytest.raises(ad.ShapeMismatch):
         ad.matmul(a, b)
     with pytest.raises(ad.ShapeMismatch):
-        ad.conv1d(ad.constant(np.ones((3, 2))), ad.constant(np.ones((5, 2, 1))))
+        ad.conv1d(ad.constant(np.ones((3, 2))), [(ad.constant(np.ones((5, 2, 1))), None, 1)])
 
 
 # --- backward semantics ----------------------------------------------------
@@ -376,11 +413,18 @@ def test_kink_margin_sees_relu_fused_into_conv1d():
     b = np.array([0.3])
     # pre-activations: 3.3, -0.7, -2.2
     for time_mean in (False, True):
-        out = ad.conv1d(ad.param(x), ad.param(w), stride=1, bias=ad.param(b),
+        out = ad.conv1d(ad.param(x), [(ad.param(w), ad.param(b), 1)],
                         relu=True, time_mean=time_mean)
         npt.assert_allclose(ad.kink_margin(ad.reduce_sum(out)), 0.7)
-    plain = ad.conv1d(ad.param(x), ad.param(w), stride=1, bias=ad.param(b))
+    plain = ad.conv1d(ad.param(x), [(ad.param(w), ad.param(b), 1)])
     assert ad.kink_margin(ad.reduce_sum(plain)) == np.inf
+    # in a stack the margin covers every layer, not only the last: a second
+    # layer's pre-activations 8.3, 5, 5 leave the first layer's 0.7 smallest
+    second = (ad.param(np.ones((1, 1, 1))), ad.param(np.array([5.0])), 1)
+    for time_mean in (False, True):
+        out = ad.conv1d(ad.param(x), [(ad.param(w), ad.param(b), 1), second],
+                        relu=True, time_mean=time_mean)
+        npt.assert_allclose(ad.kink_margin(ad.reduce_sum(out)), 0.7)
 
 
 def _naive_relu_conv1d(x, w, b, stride):
@@ -407,50 +451,74 @@ def test_fused_conv1d_matches_naive_oracle_across_blocks(monkeypatch):
     # 4 signals per block: blocks of 4, 4, 4 and a ragged 3
     monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 4 * 8 * (3 * 2 + 3) * t_out)
     expected = _naive_relu_conv1d(x.reshape(15, 20, 2), w, b, stride).reshape(5, 3, t_out, 3)
-    args = (ad.constant(x), ad.constant(w))
-    out = ad.conv1d(*args, stride=stride, bias=ad.constant(b), relu=True)
+    args = (ad.constant(x), [(ad.constant(w), ad.constant(b), stride)])
+    out = ad.conv1d(*args, relu=True)
     npt.assert_allclose(out.value, expected, atol=1e-12)
-    out = ad.conv1d(*args, stride=stride, bias=ad.constant(b), relu=True, time_mean=True)
+    out = ad.conv1d(*args, relu=True, time_mean=True)
+    npt.assert_allclose(out.value, expected.mean(axis=-2), atol=1e-12)
+    # a second layer (3 outputs per signal) runs on the same blocks
+    w2 = rng.normal(size=(3, 3, 2))
+    b2 = rng.normal(size=(2,))
+    expected = _naive_relu_conv1d(expected.reshape(15, t_out, 3), w2, b2, 3).reshape(5, 3, 3, 2)
+    stack = args[1] + [(ad.constant(w2), ad.constant(b2), 3)]
+    out = ad.conv1d(args[0], stack, relu=True)
+    npt.assert_allclose(out.value, expected, atol=1e-12)
+    out = ad.conv1d(args[0], stack, relu=True, time_mean=True)
     npt.assert_allclose(out.value, expected.mean(axis=-2), atol=1e-12)
 
 
 def test_fused_conv1d_blocked_gradients_match_one_block(monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.normal(size=(7, 19, 3))
-    w = rng.normal(size=(5, 3, 4))
-    b = rng.normal(size=(4,))
+    # (k, C_in, C_out, stride); the first layer is the largest, so it sets
+    # the block size of the stack too
+    for specs in ([(5, 3, 4, 2)], [(5, 3, 4, 2), (3, 4, 2, 1), (2, 2, 3, 2)]):
+        arrays = [x]
+        for k, c_in, c_out, _stride in specs:
+            arrays += [rng.normal(size=(k, c_in, c_out)), rng.normal(size=(c_out,))]
 
-    def grads(time_mean):
-        leaves = [ad.param(a) for a in (x, w, b)]
-        out = ad.conv1d(leaves[0], leaves[1], stride=2, bias=leaves[2],
-                        relu=True, time_mean=time_mean)
-        ad.backward(scalar_readout(out))
-        return [leaf.grad for leaf in leaves]
+        def grads(time_mean):
+            leaves = [ad.param(a) for a in arrays]
+            stack = [(leaves[1 + 2 * i], leaves[2 + 2 * i], spec[3]) for i, spec in enumerate(specs)]
+            out = ad.conv1d(leaves[0], stack, relu=True, time_mean=time_mean)
+            ad.backward(scalar_readout(out))
+            return [leaf.grad for leaf in leaves]
 
-    for time_mean in (False, True):
-        whole = grads(time_mean)
-        # 3 signals per block: blocks of 3, 3 and a ragged 1
-        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 3 * 8 * (5 * 3 + 4) * 8)
-        blocked = grads(time_mean)
-        monkeypatch.undo()
-        for one, many in zip(whole, blocked):
-            npt.assert_allclose(many, one, rtol=1e-12, atol=1e-14)
+        for time_mean in (False, True):
+            whole = grads(time_mean)
+            # 3 signals per block: blocks of 3, 3 and a ragged 1
+            monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 3 * 8 * (5 * 3 + 4) * 8)
+            blocked = grads(time_mean)
+            monkeypatch.undo()
+            for one, many in zip(whole, blocked):
+                npt.assert_allclose(many, one, rtol=1e-12, atol=1e-14)
 
 
 def test_fused_conv1d_backward_twice_doubles_gradients(monkeypatch):
     # backward recomputes blocks from what forward kept; a buffer overwritten
-    # by the first pass would change the second
+    # by the first pass would change the second. A stack is one node, and its
+    # gradients equal those of the same layers as separate nodes.
     monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 1)
     rng = np.random.default_rng(13)
     for time_mean in (False, True):
-        x, w1, w2, b = (ad.param(rng.normal(size=s)) for s in ((4, 17, 2), (3, 2, 3), (2, 3, 3), (3,)))
-        h = ad.conv1d(x, w1, stride=2, bias=b, relu=True)
-        root = scalar_readout(ad.conv1d(h, w2, stride=2, bias=b, relu=True, time_mean=time_mean))
-        ad.backward(root)
-        first = [n.grad.copy() for n in (x, w1, w2, b)]
-        ad.backward(root)
-        for n, g in zip((x, w1, w2, b), first):
-            npt.assert_array_equal(n.grad, 2.0 * g)
+        arrays = [rng.normal(size=s) for s in ((4, 17, 2), (3, 2, 3), (2, 3, 3), (3,))]
+        per_form = []
+        for stacked in (False, True):
+            x, w1, w2, b = leaves = [ad.param(a) for a in arrays]
+            if stacked:
+                out = ad.conv1d(x, [(w1, b, 2), (w2, b, 2)], relu=True, time_mean=time_mean)
+            else:
+                h = ad.conv1d(x, [(w1, b, 2)], relu=True)
+                out = ad.conv1d(h, [(w2, b, 2)], relu=True, time_mean=time_mean)
+            root = scalar_readout(out)
+            ad.backward(root)
+            first = [n.grad.copy() for n in leaves]
+            ad.backward(root)
+            for n, g in zip(leaves, first):
+                npt.assert_array_equal(n.grad, 2.0 * g)
+            per_form.append(first)
+        for chained, stacked in zip(*per_form):
+            npt.assert_allclose(stacked, chained, rtol=1e-12, atol=1e-14)
 
 
 def test_finite_outputs_on_finite_inputs():

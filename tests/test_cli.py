@@ -6,7 +6,7 @@ import os
 import numpy as np
 
 from hybridgnn import data as dat
-from hybridgnn.cli import main, resolve_config, build_parser
+from hybridgnn.cli import _export_graphs, main, resolve_config, build_parser
 
 from test_model import _rewrite_header, unchain_extractor
 
@@ -48,6 +48,18 @@ def test_missing_manifest_is_config_error(tmp_path, capsys):
     rc = run("train", "--out", str(tmp_path / "x"), "--manifest", "/no/such/manifest.json")
     assert rc == 2
     assert "/no/such/manifest.json" in capsys.readouterr().err
+
+
+def test_manifest_entry_missing_key_exits_2(tmp_path, capsys):
+    recs = dat.synth_generate(1, 12.0, n_channels=4, fs=32.0, seed=0)
+    manifest = dat.save_dataset(recs, str(tmp_path / "data"))
+    entries = json.load(open(manifest))
+    del entries[1]["sampling_rate"]
+    json.dump(entries, open(manifest, "w"))
+    rc = run("train", "--out", str(tmp_path / "x"), "--manifest", manifest)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "entry 1" in err and "'sampling_rate'" in err and entries[1]["subject_id"] in err
 
 
 def test_no_data_source_is_config_error(tmp_path):
@@ -134,6 +146,21 @@ def test_eval_roundtrip_and_graph_export(tmp_path):
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
     common = np.loadtxt(os.path.join(graphs, "common_adj.txt"))
     assert common.shape == (4, 4) and common.min() >= 0.0
+
+
+def test_graph_export_bytes_match_row_by_row_savetxt(tmp_path):
+    special = [-1.5, 1e-300, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, np.nan, -0.0, 0.0]
+    rng = np.random.default_rng(0)
+    adj = rng.normal(size=(2, 3, 3))
+    adj.flat[: len(special)] = special
+    assign = rng.normal(scale=1e-12, size=(2, 3, 2))
+    assign[1, 0] = [np.nan, -1e200]
+    _export_graphs(str(tmp_path), 7, {"adj_inst": adj, "assign": [assign]})
+    for name, stack in (("adj_inst", adj), ("assign_0", assign)):
+        for offset, matrix in enumerate(stack):
+            path = tmp_path / f"sample_{7 + offset:05d}_{name}.txt"
+            np.savetxt(tmp_path / "reference.txt", matrix, fmt="%.18e")
+            assert path.read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
 
 def test_eval_refuses_params_with_trailing_bytes(tmp_path, capsys):

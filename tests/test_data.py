@@ -186,6 +186,22 @@ def test_unknown_label_rejected(tmp_path):
         _recording(5.0, 50.0, label="SCZ")
 
 
+def test_missing_manifest_key_names_entry_and_key(tmp_path):
+    recs = [_recording(5.0, 50.0, subject="a"), _recording(5.0, 50.0, subject="b", seed=1)]
+    manifest = dat.save_dataset(recs, str(tmp_path))
+    entries = json.load(open(manifest))
+    for key in dat.MANIFEST_KEYS:
+        broken = [dict(e) for e in entries]
+        del broken[1][key]
+        json.dump(broken, open(manifest, "w"))
+        with pytest.raises(dat.ManifestKeyError, match=f"entry 1.*{key!r}") as info:
+            dat.load_dataset(manifest)
+        assert ("'b'" in str(info.value)) == (key != "subject_id")
+    json.dump([entries[0], "b.f64"], open(manifest, "w"))
+    with pytest.raises(dat.DatasetError, match="entry 1 is not a JSON object"):
+        dat.load_dataset(manifest)
+
+
 # --- synthetic generator ---------------------------------------------------------
 
 

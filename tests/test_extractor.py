@@ -40,17 +40,17 @@ def test_conv1d_hand_case():
     # one input and one output channel: (T, 1) signal, (k, 1, 1) kernel
     x = ad.constant(np.array([[1.0], [2.0], [3.0]]))
     w = ad.constant(np.ones((2, 1, 1)))
-    npt.assert_allclose(ad.conv1d(x, w, stride=1).value[:, 0], [3.0, 5.0])
+    npt.assert_allclose(ad.conv1d(x, [(w, None, 1)]).value[:, 0], [3.0, 5.0])
 
 
 def test_conv1d_unit_kernel_is_identity():
     sig = np.arange(8.0)
-    out = ad.conv1d(ad.constant(sig[:, None]), ad.constant(np.ones((1, 1, 1))), stride=1)
+    out = ad.conv1d(ad.constant(sig[:, None]), [(ad.constant(np.ones((1, 1, 1))), None, 1)])
     npt.assert_allclose(out.value[:, 0], sig)
 
 
 def test_conv1d_output_length_formula():
-    out = ad.conv1d(ad.constant(np.ones((10, 1))), ad.constant(np.ones((4, 1, 1))), stride=2)
+    out = ad.conv1d(ad.constant(np.ones((10, 1))), [(ad.constant(np.ones((4, 1, 1))), None, 2)])
     assert out.value.shape == (4, 1)
 
 
@@ -64,7 +64,7 @@ def test_conv1d_matches_naive_oracle():
         c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         sig = rng.normal(size=(t, c_in))
         ker = rng.normal(size=(k, c_in, c_out))
-        out = ad.conv1d(ad.constant(sig), ad.constant(ker), stride).value
+        out = ad.conv1d(ad.constant(sig), [(ad.constant(ker), None, stride)]).value
         for o in range(c_out):
             expected = sum(naive_conv1d(sig[:, c], ker[:, c, o], stride) for c in range(c_in))
             npt.assert_allclose(out[:, o], expected, atol=1e-12)
@@ -72,7 +72,7 @@ def test_conv1d_matches_naive_oracle():
 
 def test_conv1d_signal_shorter_than_kernel():
     with pytest.raises(ad.ShapeMismatch):
-        ad.conv1d(ad.constant(np.ones((3, 1))), ad.constant(np.ones((5, 1, 1))))
+        ad.conv1d(ad.constant(np.ones((3, 1))), [(ad.constant(np.ones((5, 1, 1))), None, 1)])
 
 
 def test_default_shape_contract():
@@ -170,21 +170,37 @@ def test_zscore_normalizes_rows():
     npt.assert_allclose(z.std(axis=-1), 1.0, atol=1e-12)
 
 
-def test_forward_backward_peak_below_whole_batch_im2col():
-    # the blocked conv keeps no whole-batch im2col buffer: a B=8 19 x 1024
-    # forward and backward must peak below the size of the one layer 2 would need
-    params = fresh_extractor(13)
-    seg = np.random.default_rng(14).normal(size=(8, 19, 1024))
+def _forward_backward_peak(params, seed):
+    """tracemalloc peak in bytes of a B=8 19 x 1024 extractor forward and backward."""
+    seg = np.random.default_rng(seed).normal(size=(8, 19, 1024))
     probe = ad.constant(np.cos(np.arange(8 * 19 * 32)).reshape(8, 19, 32))
-    t_1 = ex.output_lengths(1024, DEFAULT_SPECS)[0]
-    k_2, stride_2, c_in_2, _c_out_2 = DEFAULT_SPECS[1]
-    im2col_bytes = 8 * 19 * ((t_1 - k_2) // stride_2 + 1) * k_2 * c_in_2 * 8
     tracemalloc.start()
     try:
         feats = ex.extract_features(seg, params)
         ad.backward(ad.reduce_sum(ad.mul(feats, probe)))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_forward_backward_peak_below_whole_batch_im2col():
+    # the blocked conv keeps no whole-batch im2col buffer: a B=8 19 x 1024
+    # forward and backward must peak below the size of the one layer 2 would need
+    params = fresh_extractor(13)
+    t_1 = ex.output_lengths(1024, DEFAULT_SPECS)[0]
+    k_2, stride_2, c_in_2, _c_out_2 = DEFAULT_SPECS[1]
+    im2col_bytes = 8 * 19 * ((t_1 - k_2) // stride_2 + 1) * k_2 * c_in_2 * 8
+    peak = _forward_backward_peak(params, 14)
     assert params.layers[1][1].grad is not None
     assert peak < im2col_bytes, f"peak {peak} B >= whole-batch im2col {im2col_bytes} B"
+
+
+def test_forward_backward_peak_below_whole_batch_layer_1_activation():
+    # the whole stack is one node run block by block: a B=8 19 x 1024 forward
+    # and backward must peak below the layer-1 activation of the whole batch
+    params = fresh_extractor(15)
+    t_1 = ex.output_lengths(1024, DEFAULT_SPECS)[0]
+    activation_bytes = 8 * 19 * t_1 * DEFAULT_SPECS[0][3] * 8
+    peak = _forward_backward_peak(params, 16)
+    assert params.layers[0][1].grad is not None
+    assert peak < activation_bytes, f"peak {peak} B >= layer-1 activation {activation_bytes} B"
