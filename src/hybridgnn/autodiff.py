@@ -186,35 +186,22 @@ def softmax(a: Node, axis: int) -> Node:
     return Node(out, "softmax", (a,), bwd)
 
 
-def mean(a: Node, axis: int | None = None) -> Node:
-    if axis is None:
-        n = a.value.size
-
-        def bwd(g):
-            return (np.full_like(a.value, g / n),)
-
-        return Node(a.value.mean(), "mean", (a,), bwd)
-
+def mean(a: Node, axis: int) -> Node:
     n = a.value.shape[axis]
 
-    def bwd_axis(g):
+    def bwd(g):
         return (np.broadcast_to(np.expand_dims(g, axis) / n, a.value.shape),)
 
-    return Node(a.value.mean(axis=axis), "mean", (a,), bwd_axis)
+    return Node(a.value.mean(axis=axis), "mean", (a,), bwd)
 
 
-def reduce_sum(a: Node, axis: int | None = None) -> Node:
-    if axis is None:
+def reduce_sum(a: Node) -> Node:
+    """Sum of every entry, a scalar."""
 
-        def bwd(g):
-            return (np.full_like(a.value, g),)
+    def bwd(g):
+        return (np.full_like(a.value, g),)
 
-        return Node(a.value.sum(), "sum", (a,), bwd)
-
-    def bwd_axis(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), a.value.shape),)
-
-    return Node(a.value.sum(axis=axis), "sum", (a,), bwd_axis)
+    return Node(a.value.sum(), "sum", (a,), bwd)
 
 
 def concat(nodes, axis: int) -> Node:
@@ -277,26 +264,26 @@ class _ConvLayer:
         return g_rows.reshape(n, -1, self.c_in)[:, : self.t_in]
 
 
-def conv1d(x: Node, layers, relu: bool = False, time_mean: bool = False) -> Node:
-    """A stack of valid 1-D convolutions over the time axis, channels last,
-    as one node.
+def conv1d(x: np.ndarray, layers) -> Node:
+    """The extractor's conv stack as one node: valid 1-D convolutions over the
+    time axis, channels last, each adding its bias and applying relu, then the
+    mean over time.
 
-    x: (..., T, C_in); layers: [(w, b, stride), ...] with w shaped
-    (k, C_in, C_out), each layer's C_in the previous layer's C_out, and b a
-    (C_out,) bias or None. Each layer maps length T to
-    T_out = (T - k)//stride + 1. Leading axes of x are independent signals
-    (e.g. batch and electrode), never mixed by the kernels.
+    x: (..., T, C_in) data, never differentiated; layers: [(w, b, stride), ...]
+    with w shaped (k, C_in, C_out), b shaped (C_out,), and each layer's C_in
+    the previous layer's C_out. Each layer maps length T to
+    T_out = (T - k)//stride + 1. The result is the last layer's output
+    averaged over time, shaped (..., C_out). Leading axes of x are
+    independent signals (e.g. batch and electrode), never mixed by the
+    kernels.
 
-    `relu` applies relu after every layer, and `time_mean` returns the mean
-    of the last layer's output over time, shaped (..., C_out). The signals go
-    through every layer in blocks of about CONV_BLOCK_BYTES of im2col and
-    output rows of the largest layer, so no whole-batch intermediate
-    activation, im2col buffer or inner gradient is ever allocated. Forward
-    keeps only the output and, with relu and time_mean, the last layer's relu
-    mask as packed bits; backward recomputes the earlier layers block by
-    block.
+    The signals go through every layer in blocks of about CONV_BLOCK_BYTES of
+    im2col and output rows of the largest layer, so no whole-batch
+    intermediate activation, im2col buffer or inner gradient is ever
+    allocated. Forward keeps only the output and the last layer's relu mask
+    as packed bits; backward recomputes the earlier layers block by block.
     """
-    xv = np.ascontiguousarray(x.value)
+    xv = np.ascontiguousarray(x, dtype=np.float64)
     if xv.ndim < 2:
         raise ShapeMismatch("conv1d", xv.shape)
     if not layers:
@@ -304,90 +291,70 @@ def conv1d(x: Node, layers, relu: bool = False, time_mean: bool = False) -> Node
     signals = xv.reshape(-1, *xv.shape[-2:])
     t, c = signals.shape[1:]
     convs = []
-    parents = [x]
+    parents = []
     for w, b, stride in layers:
         if w.value.ndim != 3 or w.value.shape[1] != c or t < w.value.shape[0]:
             raise ShapeMismatch("conv1d", xv.shape[:-2] + (t, c), w.value.shape)
-        if b is not None and b.value.shape != w.value.shape[2:]:
+        if b.value.shape != w.value.shape[2:]:
             raise ShapeMismatch("conv1d", b.value.shape, w.value.shape)
-        convs.append(_ConvLayer(w.value, None if b is None else b.value, stride, t))
-        parents += [w] if b is None else [w, b]
+        convs.append(_ConvLayer(w.value, b.value, stride, t))
+        parents += [w, b]
         t, c = convs[-1].t_out, convs[-1].c_out
     last = convs[-1]
     largest = max(8 * (lay.k * lay.c_in + lay.c_out) * lay.t_out for lay in convs)
     per_block = max(1, CONV_BLOCK_BYTES // largest)
     blocks = [slice(i, i + per_block) for i in range(0, len(signals), per_block)]
 
-    def push(a, n_layers, out=None, margins=None):
-        """Run block a (n, T, C_in) through the first `n_layers` layers, the
-        last one's GEMM into `out`; returns each layer's im2col rows and output
-        rows (relu applied), and the block's last output (n, T_out, C_out)."""
+    def push(a, n_layers, margins=None):
+        """Run block a (n, T, C_in) through the first `n_layers` layers;
+        returns each layer's im2col rows and output rows (relu applied), and
+        the block's last output (n, T_out, C_out)."""
         steps = []
         for lay in convs[:n_layers]:
             cols = lay.im2col(a)
-            z = np.matmul(cols, lay.w_flat, out=out if lay is last else None)
-            if lay.b is not None:
-                z += lay.b
+            z = cols @ lay.w_flat
+            z += lay.b
             if margins is not None:
                 margins.append(float(np.abs(z).min()))
-            if relu:
-                np.maximum(z, 0.0, out=z)
+            np.maximum(z, 0.0, out=z)
             steps.append((cols, z))
             a = z.reshape(len(a), lay.t_out, lay.c_out)
         return steps, a
 
-    out = np.empty((len(signals), c) if time_mean else (len(signals), t, c))
-    # relu mask of the last layer when its output is averaged away, one row of
+    out = np.empty((len(signals), c))
+    # relu mask of the last layer, whose output is averaged away, one row of
     # bits per signal: backward reads it instead of recomputing that GEMM
-    bits = np.empty((len(signals), -(-t * c // 8)), np.uint8) if relu and time_mean else None
+    bits = np.empty((len(signals), -(-t * c // 8)), np.uint8)
     for sl in blocks:
-        _, a = push(signals[sl], len(convs), out=None if time_mean else out[sl].reshape(-1, c))
-        if bits is not None:
-            bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
-        if time_mean:
-            out[sl] = a.mean(axis=1)
+        _, a = push(signals[sl], len(convs))
+        bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
+        out[sl] = a.mean(axis=1)
 
     def bwd(g):
         g = g.reshape(out.shape)
         gws = [np.zeros_like(lay.w_flat) for lay in convs]
-        gbs = [None if lay.b is None else np.zeros(lay.c_out) for lay in convs]
-        gx = np.empty(signals.shape) if x.needs_grad else None
+        gbs = [np.zeros(lay.c_out) for lay in convs]
 
         # one block per call, so its temporaries are freed before the next
         def accumulate(sl):
             steps, a = push(signals[sl], len(convs) - 1)
             n = len(a)
             cols = [step_cols for step_cols, _z in steps] + [last.im2col(a)]
-            if time_mean:
-                g_mean = (g[sl] / t)[:, None, :]
-                if relu:
-                    gz = g_mean * np.unpackbits(bits[sl], axis=-1, count=t * c).reshape(n, t, c)
-                else:
-                    gz = np.repeat(g_mean, t, axis=1)
-            else:
-                gz = g[sl]
-                if relu:
-                    gz = gz * (out[sl] > 0.0)
-            gz = gz.reshape(-1, c)
+            mask = np.unpackbits(bits[sl], axis=-1, count=t * c).reshape(n, t, c)
+            gz = ((g[sl] / t)[:, None, :] * mask).reshape(-1, c)
             for i in range(len(convs) - 1, -1, -1):
                 gws[i] += cols[i].T @ gz
-                if gbs[i] is not None:
-                    gbs[i] += gz.sum(axis=0)
+                gbs[i] += gz.sum(axis=0)
                 if i > 0:
                     ga = convs[i].input_grad(gz, n)
-                    if relu:
-                        ga = ga * (steps[i - 1][1].reshape(ga.shape) > 0.0)
+                    ga = ga * (steps[i - 1][1].reshape(ga.shape) > 0.0)
                     gz = ga.reshape(-1, convs[i - 1].c_out)
-                elif gx is not None:
-                    gx[sl] = convs[0].input_grad(gz, n)
 
         for sl in blocks:
             accumulate(sl)
-        grads = [None if gx is None else gx.reshape(xv.shape)]
+        grads = []
         for lay, gw, gb in zip(convs, gws, gbs):
-            grads.append(gw.reshape(lay.k, lay.c_in, lay.c_out))
-            if gb is not None:
-                grads.append(gb)
+            grads += [gw.reshape(lay.k, lay.c_in, lay.c_out), gb]
         return tuple(grads)
 
     def kink():
@@ -396,8 +363,7 @@ def conv1d(x: Node, layers, relu: bool = False, time_mean: bool = False) -> Node
             push(signals[sl], len(convs), margins=margins)
         return min(margins)
 
-    out_shape = xv.shape[:-2] + out.shape[1:]
-    return Node(out.reshape(out_shape), "conv1d", tuple(parents), bwd, kink=kink if relu else None)
+    return Node(out.reshape(xv.shape[:-2] + (c,)), "conv1d", tuple(parents), bwd, kink=kink)
 
 
 def _toposort(root: Node):

@@ -135,9 +135,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {config_path}: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {config_path}: expected a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            if not _same_kind(DEFAULTS[key], value):
+                raise ConfigError(f"config file {config_path}: {key!r} has the wrong type: {value!r}")
     preset_name = getattr(args, "preset", None) or file_cfg.get("preset")
     if preset_name:
         if preset_name not in PRESETS:
@@ -152,12 +157,28 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _same_kind(default, value) -> bool:
+    """Whether a config-file value has the JSON type of the key's default:
+    a string where the default is None, any number where it is a float."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, float) and type(value) is int:
+        return True
+    return type(value) is type(default)
+
+
 def model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
+    try:
+        return ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model configuration: {exc}") from None
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS})
+    try:
+        return TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"training configuration: {exc}") from None
 
 
 def load_segments(cfg: dict):
@@ -174,7 +195,11 @@ def load_segments(cfg: dict):
         )
     else:
         raise ConfigError("no data source: pass --manifest PATH or --synth")
-    return build_segments(recordings, cfg["window_seconds"], cfg["overlap"])
+    segs = build_segments(recordings, cfg["window_seconds"], cfg["overlap"])
+    n_channels = segs.x.shape[1]
+    if n_channels != cfg["n_channels"]:
+        raise ConfigError(f"the data has {n_channels} channels, but n_channels is {cfg['n_channels']}")
+    return segs
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -194,8 +219,8 @@ def _prepare_out(cfg: dict, out: str) -> None:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     _prepare_out(cfg, args.out)
-    segs = load_segments(cfg)
     mcfg, tcfg = model_config(cfg), train_config(cfg)
+    segs = load_segments(cfg)
     log_lines = []
 
     def log(line):
@@ -215,10 +240,10 @@ def cmd_train(args) -> int:
 def cmd_cv(args) -> int:
     cfg = resolve_config(args)
     _prepare_out(cfg, args.out)
+    mcfg, tcfg = model_config(cfg), train_config(cfg)
     segs = load_segments(cfg)
     report = ten_fold_cv(
-        segs, model_config(cfg), train_config(cfg),
-        n_jobs=cfg["folds_parallel"], log=lambda s: print(s, flush=True),
+        segs, mcfg, tcfg, n_jobs=cfg["folds_parallel"], log=lambda s: print(s, flush=True),
     )
     table = report.to_table()
     with open(os.path.join(args.out, "report.txt"), "w") as fh:

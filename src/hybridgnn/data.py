@@ -11,6 +11,7 @@ shape (len(channels), n_samples).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,30 @@ class ManifestKeyError(DatasetError):
     """A manifest entry lacks a required key."""
 
 
+class ManifestValueError(DatasetError):
+    """A manifest value has the wrong type or range, or an entry's channels or
+    sampling rate differ from the first entry's."""
+
+
+MANIFEST_NAME = "manifest.json"
 MANIFEST_KEYS = ("subject_id", "label", "sampling_rate", "channels", "n_samples", "data_file")
+
+# what each manifest value must be: (test, description for the error)
+_STRING = (lambda v: isinstance(v, str), "a string")
+_MANIFEST_VALUES = {
+    "subject_id": _STRING,
+    "label": _STRING,
+    "sampling_rate": (
+        lambda v: type(v) in (int, float) and math.isfinite(v) and v > 0, "a positive number"
+    ),
+    "channels": (
+        lambda v: isinstance(v, list) and v and all(isinstance(c, str) for c in v),
+        "a non-empty list of channel names",
+    ),
+    "n_samples": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "data_file": _STRING,
+    "session": _STRING,
+}
 
 
 @dataclass
@@ -166,10 +190,21 @@ def load_dataset(manifest_path: str):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DatasetError(f"{manifest_path}: entry {i} is not a JSON object")
+        where = f"{manifest_path}: entry {i}"
+        if "subject_id" in entry:
+            where += f" (subject {entry['subject_id']!r})"
         for key in MANIFEST_KEYS:
             if key not in entry:
-                who = f" (subject {entry['subject_id']!r})" if "subject_id" in entry else ""
-                raise ManifestKeyError(f"{manifest_path}: entry {i}{who} lacks required key {key!r}")
+                raise ManifestKeyError(f"{where} lacks required key {key!r}")
+        for key, (valid, what) in _MANIFEST_VALUES.items():
+            if key in entry and not valid(entry[key]):
+                raise ManifestValueError(f"{where}: {key!r} must be {what}, got {entry[key]!r}")
+        for key in ("channels", "sampling_rate"):
+            if entry[key] != entries[0][key]:
+                raise ManifestValueError(
+                    f"{where}: {key!r} differs from entry 0's; a dataset has one channel list "
+                    "and one sampling rate"
+                )
         label = entry["label"]
         if label not in LABEL_INDEX:
             raise UnknownLabelError(f"unknown label {label!r} for subject {entry['subject_id']}")
@@ -184,7 +219,7 @@ def load_dataset(manifest_path: str):
         if not os.path.exists(path):
             raise DataFileMissingError(f"data file not found: {path}")
         n = len(entry["channels"])
-        n_samples = int(entry["n_samples"])
+        n_samples = entry["n_samples"]
         expected = 8 * n * n_samples
         actual = os.path.getsize(path)
         if actual != expected:
@@ -206,7 +241,7 @@ def load_dataset(manifest_path: str):
     return recordings
 
 
-def save_dataset(recordings, out_dir: str, manifest_name: str = "manifest.json") -> str:
+def save_dataset(recordings, out_dir: str) -> str:
     """Write recordings in the manifest + raw binary format; returns manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
@@ -226,7 +261,7 @@ def save_dataset(recordings, out_dir: str, manifest_name: str = "manifest.json")
                 **({"session": rec.session} if rec.session else {}),
             }
         )
-    manifest_path = os.path.join(out_dir, manifest_name)
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     with open(manifest_path, "w") as fh:
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -247,16 +282,16 @@ SHARED_COUPLING_REST = (0.15, 0.3)
 COUPLING_DROP_MDD = 0.25
 THETA_AMPLITUDE_MDD = (0.9, 1.1)
 NOISE_SCALE = 0.7
+BAND_COMPONENTS = 3  # sinusoids summed into one band source
 
 
 def frontal_channels(n_channels: int) -> int:
     return max(2, round(FRONTAL_FRACTION * n_channels))
 
 
-def _band_source(rng: np.random.Generator, t: np.ndarray, low: float, high: float,
-                 n_components: int = 3) -> np.ndarray:
-    freqs = rng.uniform(low, high, size=n_components)
-    phases = rng.uniform(0.0, 2 * np.pi, size=n_components)
+def _band_source(rng: np.random.Generator, t: np.ndarray, low: float, high: float) -> np.ndarray:
+    freqs = rng.uniform(low, high, size=BAND_COMPONENTS)
+    phases = rng.uniform(0.0, 2 * np.pi, size=BAND_COMPONENTS)
     src = np.sin(2 * np.pi * freqs[:, None] * t[None, :] + phases[:, None]).sum(axis=0)
     return src / src.std()
 

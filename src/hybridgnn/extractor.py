@@ -59,7 +59,7 @@ def extract_features(segment: np.ndarray, params: ExtractorParams) -> ad.Node:
     """Map (..., N, T_s) raw samples to (..., N, F_d) per-electrode features."""
     specs = [layer[0] for layer in params.layers]
     output_lengths(segment.shape[-1], specs)
-    x = ad.constant(zscore(segment)[..., None])  # channels-last: (..., N, T_s, 1)
     layers = [(w, b, stride) for (_k, stride, _c_in, _c_out), w, b in params.layers]
-    # the whole stack is one node: relu after every layer, then the time-mean
-    return ad.conv1d(x, layers, relu=True, time_mean=True)
+    # the whole stack is one node, relu after every layer and then the
+    # time-mean; the input is channels-last: (..., N, T_s, 1)
+    return ad.conv1d(zscore(segment)[..., None], layers)

@@ -19,6 +19,10 @@ from .data import SegmentSet
 from .model import ModelConfig, forward_batch, init_model
 from .rng import subseed, substream
 
+EVAL_BATCH_SIZE = 256  # segments per forward pass of evaluate, predict and mean_assignment_entropy
+N_FOLDS = 10
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -88,17 +92,14 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.state = {}
 
     def step(self, named):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
         for name, node in named:
@@ -108,7 +109,7 @@ class _Adam:
             m = b1 * m + (1 - b1) * node.grad
             v = b2 * v + (1 - b2) * node.grad**2
             self.state[name] = (m, v)
-            node.value = node.value - self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            node.value = node.value - self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 def train_epoch(
@@ -189,12 +190,12 @@ class Metrics:
 
 
 def evaluate(params: dict, mcfg: ModelConfig, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 256, on_batch=None) -> Metrics:
+             on_batch=None) -> Metrics:
     """Argmax predictions over a shard; positive class is index 1 (patient).
     `on_batch` is passed to `predict`."""
     if len(x) == 0:
         raise ValueError("evaluate: empty shard")
-    preds = predict(params, mcfg, x, batch_size, on_batch)
+    preds = predict(params, mcfg, x, on_batch)
     y = np.asarray(y)
     tp = int(np.sum((preds == 1) & (y == 1)))
     fp = int(np.sum((preds == 1) & (y == 0)))
@@ -213,27 +214,25 @@ def _forward_values(segments: np.ndarray, params: dict, mcfg: ModelConfig):
     return probs.value, {"adj_inst": adj_inst, "assign": [r.value for r in diag["assign"]]}
 
 
-def predict(params: dict, mcfg: ModelConfig, x: np.ndarray, batch_size: int = 256,
-            on_batch=None):
+def predict(params: dict, mcfg: ModelConfig, x: np.ndarray, on_batch=None):
     """Argmax class per segment. `on_batch(start, diag)`, if given, receives
     each batch's first segment index and its diagnostics from `_forward_values`."""
     preds = []
-    for start in range(0, len(x), batch_size):
-        probs, diag = _forward_values(x[start : start + batch_size], params, mcfg)
+    for start in range(0, len(x), EVAL_BATCH_SIZE):
+        probs, diag = _forward_values(x[start : start + EVAL_BATCH_SIZE], params, mcfg)
         preds.append(np.argmax(probs, axis=-1))
         if on_batch is not None:
             on_batch(start, diag)
     return np.concatenate(preds)
 
 
-def mean_assignment_entropy(params: dict, mcfg: ModelConfig, x: np.ndarray,
-                            batch_size: int = 256) -> float:
+def mean_assignment_entropy(params: dict, mcfg: ModelConfig, x: np.ndarray) -> float:
     """Mean over samples, pooling stages, and channels of the entropy of each
     assignment row. Returns nan for variants without pooling."""
     total = 0.0
     count = 0
-    for start in range(0, len(x), batch_size):
-        _probs, diag = _forward_values(x[start : start + batch_size], params, mcfg)
+    for start in range(0, len(x), EVAL_BATCH_SIZE):
+        _probs, diag = _forward_values(x[start : start + EVAL_BATCH_SIZE], params, mcfg)
         for rv in diag["assign"]:
             ent = -(rv * np.log(np.maximum(rv, ad.LOG_FLOOR))).sum(axis=-1)
             total += float(ent.sum())
@@ -302,14 +301,14 @@ def format_table(label_header: str, label_width: int, rows) -> str:
     return "\n".join(lines)
 
 
-def partition_subjects(subjects, seed: int, n_folds: int = 10):
-    """Shuffle the unique subject list by seed and split into near-equal groups."""
+def partition_subjects(subjects, seed: int):
+    """Shuffle the unique subject list by seed and split into N_FOLDS near-equal groups."""
     unique = sorted(set(subjects))
-    if len(unique) < n_folds:
-        raise ValueError(f"need at least {n_folds} subjects for {n_folds}-fold CV, have {len(unique)}")
+    if len(unique) < N_FOLDS:
+        raise ValueError(f"need at least {N_FOLDS} subjects for {N_FOLDS}-fold CV, have {len(unique)}")
     order = substream(seed, "folds").permutation(len(unique))
     shuffled = [unique[i] for i in order]
-    return [list(part) for part in np.array_split(shuffled, n_folds)]
+    return [list(part) for part in np.array_split(shuffled, N_FOLDS)]
 
 
 def _run_fold(segset: SegmentSet, mcfg: ModelConfig, tcfg: TrainConfig, test_subjects, k: int):
@@ -336,7 +335,6 @@ def ten_fold_cv(
     segset: SegmentSet,
     mcfg: ModelConfig,
     tcfg: TrainConfig,
-    n_folds: int = 10,
     n_jobs: int = 1,
     log=None,
 ) -> FoldReport:
@@ -345,7 +343,7 @@ def ten_fold_cv(
     Folds are independent; `n_jobs > 1` runs them in worker processes and
     produces metrics identical to the serial order.
     """
-    groups = partition_subjects(segset.subjects, tcfg.seed, n_folds)
+    groups = partition_subjects(segset.subjects, tcfg.seed)
     folds = []
     if n_jobs > 1:
         with ProcessPoolExecutor(

@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from hybridgnn import data as dat
 from hybridgnn.cli import _export_graphs, main, resolve_config, build_parser
@@ -60,6 +61,62 @@ def test_manifest_entry_missing_key_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "entry 1" in err and "'sampling_rate'" in err and entries[1]["subject_id"] in err
+
+
+def _tiny_manifest(tmp_path):
+    """Manifest path and entries of two 4-channel synthetic recordings."""
+    recs = dat.synth_generate(1, 12.0, n_channels=4, fs=32.0, seed=0)
+    manifest = dat.save_dataset(recs, str(tmp_path / "data"))
+    return manifest, json.load(open(manifest))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_samples", "abc"),
+    ("channels", 4),
+    ("sampling_rate", "fast"),
+    ("label", ["MDD"]),
+    ("channels", "reversed"),
+    ("sampling_rate", 64.0),
+], ids=["n_samples-str", "channels-int", "sampling_rate-str", "label-list", "channels-reversed",
+        "sampling_rate-other"])
+def test_manifest_value_refused_naming_entry_and_key(tmp_path, capsys, key, value):
+    # a wrong type, or channels or a sampling rate that differ from entry 0's
+    manifest, entries = _tiny_manifest(tmp_path)
+    entries[1][key] = entries[0]["channels"][::-1] if value == "reversed" else value
+    json.dump(entries, open(manifest, "w"))
+    with pytest.raises(dat.ManifestValueError):
+        dat.load_dataset(manifest)
+    assert run("train", "--out", str(tmp_path / "x"), "--manifest", manifest, *TINY_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert manifest in err and "entry 1" in err and repr(key) in err
+    assert repr(entries[1]["subject_id"]) in err
+
+
+def test_batch_size_zero_exits_2(tmp_path, capsys):
+    assert run("train", "--out", str(tmp_path / "x"), *TINY_FLAGS, "--batch-size", "0") == 2
+    assert "batch_size must be >= 1" in capsys.readouterr().err
+
+
+def test_more_regions_than_channels_exits_2(tmp_path, capsys):
+    i = TINY_FLAGS.index("--n-regions")
+    flags = TINY_FLAGS[:i] + TINY_FLAGS[i + 2 :]  # the default 5 regions on 4 channels
+    assert run("train", "--out", str(tmp_path / "x"), *flags) == 2
+    assert "n_regions must be in [1, n_channels]" in capsys.readouterr().err
+
+
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    json.dump({"lam": "abc"}, open(cfg_path, "w"))
+    assert run("train", "--out", str(tmp_path / "x"), "--config", cfg_path, *TINY_FLAGS) == 2
+    assert "'lam'" in capsys.readouterr().err
+
+
+def test_n_channels_disagreeing_with_data_exits_2(tmp_path, capsys):
+    manifest, _entries = _tiny_manifest(tmp_path)
+    flags = TINY_FLAGS[TINY_FLAGS.index("--feature-dim"):]
+    rc = run("train", "--out", str(tmp_path / "x"), "--manifest", manifest, "--n-channels", "5", *flags)
+    assert rc == 2
+    assert "the data has 4 channels, but n_channels is 5" in capsys.readouterr().err
 
 
 def test_no_data_source_is_config_error(tmp_path):

@@ -36,26 +36,38 @@ def naive_conv1d(signal, kernel, stride):
     )
 
 
+def one_layer(kernel, bias, stride):
+    """A one-layer conv1d stack of constant kernel (k, C_in, C_out) and bias (C_out,)."""
+    return [(ad.constant(kernel), ad.constant(bias), stride)]
+
+
 def test_conv1d_hand_case():
-    # one input and one output channel: (T, 1) signal, (k, 1, 1) kernel
-    x = ad.constant(np.array([[1.0], [2.0], [3.0]]))
-    w = ad.constant(np.ones((2, 1, 1)))
-    npt.assert_allclose(ad.conv1d(x, [(w, None, 1)]).value[:, 0], [3.0, 5.0])
+    # one input and one output channel: (T, 1) signal, (k, 1, 1) kernel;
+    # pre-activations 3 - 4 and 5 - 4, relu, then the mean over time
+    x = np.array([[1.0], [2.0], [3.0]])
+    out = ad.conv1d(x, one_layer(np.ones((2, 1, 1)), np.array([-4.0]), 1))
+    npt.assert_allclose(out.value, [0.5])
 
 
 def test_conv1d_unit_kernel_is_identity():
-    sig = np.arange(8.0)
-    out = ad.conv1d(ad.constant(sig[:, None]), [(ad.constant(np.ones((1, 1, 1))), None, 1)])
-    npt.assert_allclose(out.value[:, 0], sig)
+    sig = np.arange(8.0) - 3.0
+    for b in (0.0, -2.0, 1.5):
+        out = ad.conv1d(sig[:, None], one_layer(np.ones((1, 1, 1)), np.array([b]), 1))
+        npt.assert_allclose(out.value, [np.maximum(sig + b, 0.0).mean()])
 
 
 def test_conv1d_output_length_formula():
-    out = ad.conv1d(ad.constant(np.ones((10, 1))), [(ad.constant(np.ones((4, 1, 1))), None, 2)])
-    assert out.value.shape == (4, 1)
+    # windows of 4 at stride 2 over T = 10 start at 0, 2, 4 and 6: the mean
+    # over time divides by (10 - 4)//2 + 1 = 4 outputs
+    sig = np.arange(10.0)
+    out = ad.conv1d(sig[:, None], one_layer(np.ones((4, 1, 1)), np.zeros(1), 2))
+    assert out.value.shape == (1,)
+    npt.assert_allclose(out.value, [np.mean([sig[s : s + 4].sum() for s in (0, 2, 4, 6)])])
 
 
 def test_conv1d_matches_naive_oracle():
-    # every output channel is the sum over input channels of vector convolutions
+    # every output channel is the time-mean of relu(the sum over input
+    # channels of vector convolutions + bias)
     rng = np.random.default_rng(0)
     for _ in range(50):
         t = int(rng.integers(4, 40))
@@ -64,15 +76,16 @@ def test_conv1d_matches_naive_oracle():
         c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         sig = rng.normal(size=(t, c_in))
         ker = rng.normal(size=(k, c_in, c_out))
-        out = ad.conv1d(ad.constant(sig), [(ad.constant(ker), None, stride)]).value
+        bias = rng.normal(size=(c_out,))
+        out = ad.conv1d(sig, one_layer(ker, bias, stride)).value
         for o in range(c_out):
-            expected = sum(naive_conv1d(sig[:, c], ker[:, c, o], stride) for c in range(c_in))
-            npt.assert_allclose(out[:, o], expected, atol=1e-12)
+            conv = sum(naive_conv1d(sig[:, c], ker[:, c, o], stride) for c in range(c_in))
+            npt.assert_allclose(out[o], np.maximum(conv + bias[o], 0.0).mean(), atol=1e-12)
 
 
 def test_conv1d_signal_shorter_than_kernel():
     with pytest.raises(ad.ShapeMismatch):
-        ad.conv1d(ad.constant(np.ones((3, 1))), [(ad.constant(np.ones((5, 1, 1))), None, 1)])
+        ad.conv1d(np.ones((3, 1)), one_layer(np.ones((5, 1, 1)), np.zeros(1), 1))
 
 
 def test_default_shape_contract():
