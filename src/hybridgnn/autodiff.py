@@ -151,15 +151,6 @@ def relu(a: Node) -> Node:
     return Node(out, "relu", (a,), bwd, kink=kink)
 
 
-def exp(a: Node) -> Node:
-    out = np.exp(a.value)
-
-    def bwd(g):
-        return (g * out,)
-
-    return Node(out, "exp", (a,), bwd)
-
-
 def log(a: Node) -> Node:
     """Natural log with the argument clamped to >= LOG_FLOOR.
 

@@ -34,8 +34,9 @@ from .model import (
     load_params,
     save_params,
 )
+from .extractor import output_lengths
 from .graphs import common_adjacency
-from .training import TrainConfig, evaluate, format_table, ten_fold_cv, train_model
+from .training import N_FOLDS, TrainConfig, evaluate, format_table, ten_fold_cv, train_model
 from .rng import subseed
 
 # dataset presets: hyperparameters and windowing as published for each corpus
@@ -181,24 +182,49 @@ def train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(f"training configuration: {exc}") from None
 
 
-def load_segments(cfg: dict):
-    """Materialize the configured data source as a stacked segment set."""
-    if cfg["manifest"]:
-        recordings = load_dataset(cfg["manifest"])
-    elif cfg["synth"]:
-        recordings = synth_generate(
+def synth_recordings(cfg: dict):
+    """The configured synthetic recordings; non-positive sizes are refused."""
+    try:
+        return synth_generate(
             cfg["synth_subjects_per_class"],
             cfg["synth_seconds"],
             n_channels=cfg["n_channels"],
             fs=cfg["synth_fs"],
             seed=subseed(cfg["seed"], "synth"),
         )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def load_segments(cfg: dict, extractor_layers):
+    """Materialize the configured data source as a stacked segment set whose
+    windows are long enough for every layer of `extractor_layers`."""
+    if cfg["manifest"]:
+        recordings = load_dataset(cfg["manifest"])
+    elif cfg["synth"]:
+        recordings = synth_recordings(cfg)
     else:
         raise ConfigError("no data source: pass --manifest PATH or --synth")
     segs = build_segments(recordings, cfg["window_seconds"], cfg["overlap"])
     n_channels = segs.x.shape[1]
     if n_channels != cfg["n_channels"]:
         raise ConfigError(f"the data has {n_channels} channels, but n_channels is {cfg['n_channels']}")
+    try:
+        output_lengths(segs.x.shape[-1], extractor_layers)
+    except ValueError as exc:
+        raise ConfigError(f"window_seconds {cfg['window_seconds']}: {exc}") from None
+    return segs
+
+
+def cv_segments(cfg: dict, extractor_layers):
+    """`load_segments` for cross-validation: also refuses fewer subjects than
+    folds and a `folds_parallel` below 1."""
+    if cfg["folds_parallel"] < 1:
+        raise ConfigError(f"folds_parallel must be >= 1, got {cfg['folds_parallel']}")
+    segs = load_segments(cfg, extractor_layers)
+    n_subjects = len(set(segs.subjects))
+    if n_subjects < N_FOLDS:
+        raise ConfigError(f"need at least {N_FOLDS} subjects for {N_FOLDS}-fold CV, have {n_subjects}")
     return segs
 
 
@@ -214,13 +240,15 @@ def _prepare_out(cfg: dict, out: str) -> None:
 
 
 # --- commands ----------------------------------------------------------------
+# Each command builds every configuration it will run and loads its data
+# before `_prepare_out`, so a refused run writes nothing.
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    _prepare_out(cfg, args.out)
     mcfg, tcfg = model_config(cfg), train_config(cfg)
-    segs = load_segments(cfg)
+    segs = load_segments(cfg, mcfg.extractor_layers)
+    _prepare_out(cfg, args.out)
     log_lines = []
 
     def log(line):
@@ -239,9 +267,9 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     cfg = resolve_config(args)
-    _prepare_out(cfg, args.out)
     mcfg, tcfg = model_config(cfg), train_config(cfg)
-    segs = load_segments(cfg)
+    segs = cv_segments(cfg, mcfg.extractor_layers)
+    _prepare_out(cfg, args.out)
     report = ten_fold_cv(
         segs, mcfg, tcfg, n_jobs=cfg["folds_parallel"], log=lambda s: print(s, flush=True),
     )
@@ -255,13 +283,13 @@ def cmd_cv(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = resolve_config(args)
-    _prepare_out(cfg, args.out)
-    segs = load_segments(cfg)
     tcfg = train_config(cfg)
+    mcfgs = {variant: model_config({**cfg, "variant": variant}) for variant in VARIANTS}
+    segs = cv_segments(cfg, mcfgs["full"].extractor_layers)  # one extractor in every variant
+    _prepare_out(cfg, args.out)
     rows = []
     reports = {}
-    for variant in VARIANTS:
-        mcfg = model_config({**cfg, "variant": variant})
+    for variant, mcfg in mcfgs.items():
         report = ten_fold_cv(segs, mcfg, tcfg, n_jobs=cfg["folds_parallel"])
         reports[variant] = report.to_json_dict()
         rows.append((variant, report.mean))
@@ -276,23 +304,25 @@ def cmd_ablation(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    _prepare_out(cfg, args.out)
-    segs = load_segments(cfg)
     values = args.values
     if values is None:
         values = SWEEP_GRIDS[args.param]
     else:
         cast = int if args.param == "n_regions" else float
-        values = [cast(v) for v in values.split(",")]
-    rows = []
+        try:
+            values = [cast(v) for v in values.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--values: {exc}") from None
+    key = "n_regions" if args.param == "n_regions" else "lam"
+    runs = []
     for value in values:
-        local = dict(cfg)
-        if args.param == "n_regions":
-            local["n_regions"] = value
-        else:
-            local["lam"] = value
-        report = ten_fold_cv(segs, model_config(local), train_config(local),
-                             n_jobs=cfg["folds_parallel"])
+        local = {**cfg, key: value}
+        runs.append((value, model_config(local), train_config(local)))
+    segs = cv_segments(cfg, runs[0][1].extractor_layers)
+    _prepare_out(cfg, args.out)
+    rows = []
+    for value, mcfg, tcfg in runs:
+        report = ten_fold_cv(segs, mcfg, tcfg, n_jobs=cfg["folds_parallel"])
         rows.append((value, report.mean["acc"], report.std["acc"]))
         print(f"{args.param}={value}: mean acc {report.mean['acc']:.4f}", flush=True)
     csv_path = os.path.join(args.out, "sweep.csv")
@@ -306,10 +336,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
-    _prepare_out(cfg, args.out)
     params, mcfg = load_params(args.params)
-    cfg_for_data = {**cfg, "n_channels": mcfg.n_channels}
-    segs = load_segments(cfg_for_data)
+    segs = load_segments({**cfg, "n_channels": mcfg.n_channels}, mcfg.extractor_layers)
+    _prepare_out(cfg, args.out)
     export = None
     if args.export_graphs:
         graph_dir = os.path.join(args.out, "graphs")
@@ -347,14 +376,8 @@ def _export_graphs(graph_dir: str, start: int, diag: dict) -> None:
 
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
+    recordings = synth_recordings(cfg)
     _prepare_out(cfg, args.out)
-    recordings = synth_generate(
-        cfg["synth_subjects_per_class"],
-        cfg["synth_seconds"],
-        n_channels=cfg["n_channels"],
-        fs=cfg["synth_fs"],
-        seed=subseed(cfg["seed"], "synth"),
-    )
     manifest = save_dataset(recordings, args.out)
     print(f"wrote {len(recordings)} recordings -> {manifest}")
     return 0

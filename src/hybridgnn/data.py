@@ -140,6 +140,8 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float):
     the recording is shorter than one window. Each segment's data is a
     read-only view into `rec.signal`, not a copy.
     """
+    if not window_s > 0.0:
+        raise DatasetError(f"window_s must be > 0, got {window_s}")
     if not 0.0 <= overlap_frac < 1.0:
         raise DatasetError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
     window = Fraction(window_s) * Fraction(rec.sampling_rate)

@@ -36,15 +36,24 @@ def individual_adjacency(feats: ad.Node, w1: ad.Node, w2: ad.Node, softmax_axis:
 def normalize_adjacency(adj: ad.Node) -> ad.Node:
     """Symmetric degree normalization D^-1/2 (A + I) D^-1/2 with self-loops.
 
-    Degrees are row sums of A + I, so every degree is >= 1 and the inverse
-    square root always exists. Requires a non-negative adjacency.
+    One node with a closed-form backward. Degrees are row sums of A + I, so
+    each is >= 1 and has an inverse square root. Requires A >= 0 entrywise.
     """
     if adj.value.min() < 0.0:
         raise ValueError("normalize_adjacency: adjacency has negative entries")
     n = adj.value.shape[-1]
     if adj.value.shape[-2] != n:
         raise ad.ShapeMismatch("normalize_adjacency", adj.value.shape)
-    tilde = ad.add(adj, ad.constant(np.eye(n)))
-    deg = ad.matmul(tilde, ad.constant(np.ones((n, 1))))  # (..., N, 1) row sums
-    inv_sqrt = ad.exp(ad.scale(ad.log(deg), -0.5))  # degrees >= 1, log clamp inert
-    return ad.mul(ad.matmul(inv_sqrt, ad.transpose(inv_sqrt)), tilde)
+    tilde = adj.value + np.eye(n)
+    deg = tilde.sum(axis=-1, keepdims=True)  # (..., N, 1)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    scale = inv_sqrt * np.swapaxes(inv_sqrt, -1, -2)  # 1/sqrt(d_i d_j)
+    out = scale * tilde
+
+    def bwd(g):
+        # d_i sums row i, so row i also gets -(row i + column i of g∘out) / (2 d_i)
+        g_out = g * out
+        g_deg = (g_out.sum(axis=-1) + g_out.sum(axis=-2))[..., None]
+        return (g * scale - g_deg / (2.0 * deg),)
+
+    return ad.Node(out, "normalize_adjacency", (adj,), bwd)

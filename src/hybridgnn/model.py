@@ -284,10 +284,6 @@ class ParamsShapeError(ParamsFileError):
     """Tensor table disagrees with the embedded model config."""
 
 
-class ParamsConfigMismatchError(ParamsFileError):
-    """Embedded config conflicts with the config expected at load time."""
-
-
 def save_params(path: str, params: dict, config: ModelConfig) -> None:
     """Atomically write params + config; round-trips bit-exactly."""
     table = []
@@ -308,12 +304,11 @@ def save_params(path: str, params: dict, config: ModelConfig) -> None:
     os.replace(tmp, path)
 
 
-def load_params(path: str, expected_config: ModelConfig = None):
-    """Read a parameter file; returns (params dict, ModelConfig).
+def load_params(path: str):
+    """Read a parameter file; returns (params dict, its embedded ModelConfig).
 
-    Raises ParamsVersionError / ParamsShapeError / ParamsCorruptError /
-    ParamsConfigMismatchError as distinct failures; never returns partially
-    loaded state.
+    Raises ParamsVersionError / ParamsShapeError / ParamsCorruptError as
+    distinct failures; never returns partially loaded state.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -354,9 +349,4 @@ def load_params(path: str, expected_config: ModelConfig = None):
         count = math.prod(shape)
         nodes[name] = ad.param(np.frombuffer(data, "<f8", count, pos + offset).reshape(shape).copy())
         offset += 8 * count
-
-    if expected_config is not None and expected_config.to_dict() != config.to_dict():
-        raise ParamsConfigMismatchError(
-            f"{path}: embedded config does not match the runtime config"
-        )
     return nodes, config

@@ -64,11 +64,6 @@ def case_relu(rng):
     return lambda l: scalar_readout(ad.relu(l[0])), [a]
 
 
-def case_exp(rng):
-    a = rng.normal(size=(2, 4))
-    return lambda l: scalar_readout(ad.exp(l[0])), [a]
-
-
 def case_log(rng):
     a = rng.uniform(0.1, 3.0, size=(3, 3))
     return lambda l: scalar_readout(ad.log(l[0])), [a]
@@ -192,7 +187,7 @@ def case_conv1d_stack3_relu_constant_input(rng):
 
 ALL_CASES = [
     case_add, case_add_broadcast, case_mul, case_scale, case_matmul,
-    case_matmul_batched, case_transpose, case_relu, case_exp, case_log,
+    case_matmul_batched, case_transpose, case_relu, case_log,
     case_softmax, case_mean, case_sum, case_concat,
     case_conv1d, case_conv1d_bias, case_conv1d_mean, case_conv1d_relu, case_conv1d_relu_mean,
     case_conv1d_relu_short_kernel, case_conv1d_relu_mean_full_kernel,

@@ -95,6 +95,42 @@ def test_manifest_value_refused_naming_entry_and_key(tmp_path, capsys, key, valu
 def test_batch_size_zero_exits_2(tmp_path, capsys):
     assert run("train", "--out", str(tmp_path / "x"), *TINY_FLAGS, "--batch-size", "0") == 2
     assert "batch_size must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # not even the config.json echo
+
+
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "params_v1_tiny_e.bin")
+TOO_FEW_SUBJECTS = "need at least 10 subjects for 10-fold CV, have 4"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--epochs", "0"], "max_epochs must be >= 1"),
+    (["train", "--epochs", "-1"], "max_epochs must be >= 1"),
+    (["cv", "--folds-parallel", "0"], "folds_parallel must be >= 1"),
+    (["cv", "--folds-parallel", "-2"], "folds_parallel must be >= 1"),
+    (["train", "--window-seconds", "0"], "window_s must be > 0"),
+    (["train", "--window-seconds", "-1"], "window_s must be > 0"),
+    (["train", "--window-seconds", "0.25"], "segment too short: layer 1"),
+    (["eval", "--params", V1_FIXTURE, "--window-seconds", "0.25"], "segment too short: layer 1"),
+    (["train", "--synth-fs", "0"], "all arguments must be positive"),
+    (["train", "--synth-seconds", "0"], "all arguments must be positive"),
+    (["train", "--synth-subjects", "0"], "all arguments must be positive"),
+    (["cv", "--synth-subjects", "2"], TOO_FEW_SUBJECTS),
+    (["ablation", "--synth-subjects", "2"], TOO_FEW_SUBJECTS),
+    (["sweep", "--param", "lambda", "--values", "1e-5", "--synth-subjects", "2"], TOO_FEW_SUBJECTS),
+    (["sweep", "--param", "n_regions", "--values", "2,9"], "n_regions must be in [1, n_channels]"),
+    (["sweep", "--param", "lambda", "--values", "abc"], "--values"),
+], ids=[
+    "epochs-0", "epochs-neg", "folds-parallel-0", "folds-parallel-neg",
+    "window-0", "window-neg", "window-below-receptive-field", "eval-window-below-receptive-field",
+    "synth-fs-0", "synth-seconds-0", "synth-subjects-0", "cv-4-subjects", "ablation-4-subjects",
+    "sweep-4-subjects", "sweep-value-refused", "sweep-values-unparsable",
+])
+def test_refused_run_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    # later flags win, so argv's settings override the TINY ones
+    out = tmp_path / "refused"
+    assert run(argv[0], "--out", str(out), *TINY_FLAGS, *argv[1:]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_more_regions_than_channels_exits_2(tmp_path, capsys):

@@ -49,6 +49,13 @@ def test_too_short_recording_is_empty_not_error():
     assert dat.segment_recording(rec, 4.0, 0.75) == []
 
 
+def test_non_positive_window_rejected():
+    rec = _recording(10.0, 32.0)
+    for window_s in (0.0, -1.0, float("nan")):
+        with pytest.raises(dat.DatasetError, match="window_s must be > 0"):
+            dat.segment_recording(rec, window_s, 0.0)
+
+
 def test_non_integral_window_rejected():
     rec = _recording(10.0, 7.0)
     with pytest.raises(dat.DatasetError, match="7"):

@@ -1,6 +1,8 @@
 """Adjacency construction tests: stochasticity, hand-computed cases,
 normalization algebra, and gradients."""
 
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,10 +10,13 @@ import pytest
 from hybridgnn import autodiff as ad
 from hybridgnn import graphs as gr
 from hybridgnn.model import ModelConfig, init_model
+from hybridgnn.pooling import pool
 
 
 def numpy_normalize(a):
-    # independent oracle for the symmetric degree normalization
+    # independent oracle for the symmetric degree normalization, per slice
+    if a.ndim > 2:
+        return np.stack([numpy_normalize(s) for s in a])
     tilde = a + np.eye(a.shape[0])
     d = tilde.sum(axis=1)
     inv = 1.0 / np.sqrt(d)
@@ -124,10 +129,19 @@ def test_symmetric_iff_input_symmetric():
 
 def test_matches_numpy_oracle():
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        a = rng.uniform(0.0, 2.0, size=(6, 6))
-        out = gr.normalize_adjacency(ad.constant(a)).value
-        npt.assert_allclose(out, numpy_normalize(a), atol=1e-12)
+    for shape in ((6, 6), (3, 6, 6)):
+        for _ in range(20):
+            a = rng.uniform(0.0, 2.0, size=shape)
+            out = gr.normalize_adjacency(ad.constant(a)).value
+            npt.assert_allclose(out, numpy_normalize(a), atol=1e-12)
+
+
+def test_normalization_is_one_node():
+    # the node and its input: no identity, ones column or other constant
+    x = ad.param(np.random.default_rng(12).uniform(0.0, 1.0, size=(3, 5, 5)))
+    out = gr.normalize_adjacency(x)
+    nodes = ad.graph_nodes(out)
+    assert len(nodes) == 2 and out.parents == (x,)
 
 
 def test_total_on_nonnegative_inputs():
@@ -179,3 +193,49 @@ def test_gradient_of_normalized_common_adjacency():
         return ad.reduce_sum(ad.mul(a_hat, ad.constant(probe)))
 
     assert ad.gradient_check(f, [raw], eps=1e-5) < 1e-5
+
+
+def _readout(out):
+    """Contract a node to a scalar with a fixed shape-derived probe."""
+    probe = np.cos(0.7 * np.arange(out.value.size) + 0.3).reshape(out.value.shape)
+    return ad.reduce_sum(ad.mul(out, ad.constant(probe)))
+
+
+# inputs keep every |entry| >= 0.05, so a finite-difference step neither
+# crosses the relu kink nor makes an entry negative, which is refused
+def _batched(rng):
+    return lambda l: _readout(gr.normalize_adjacency(l[0])), [rng.uniform(0.05, 1.0, size=(3, 5, 5))]
+
+
+def _asymmetric(rng):
+    # rows scaled apart, so row and column sums, and the degrees, all differ
+    a = rng.uniform(0.05, 1.0, size=(6, 6)) * rng.uniform(0.2, 3.0, size=(6, 1))
+    return lambda l: _readout(gr.normalize_adjacency(l[0])), [a]
+
+
+def _region_graph(rng):
+    # the (B, N_r, N_r) region adjacency R^T A R that region_conv normalizes
+    adj = rng.uniform(0.05, 1.0, size=(2, 6, 6))
+    logits = rng.normal(size=(2, 6, 3))
+    feats = rng.normal(size=(2, 6, 4))
+
+    def f(l):
+        adj_r, _feats_r = pool(ad.softmax(l[1], axis=-1), l[0], ad.constant(feats))
+        return _readout(gr.normalize_adjacency(adj_r))
+
+    return f, [adj, logits]
+
+
+def _common_with_relu_zeros(rng):
+    # about a third of the raw entries negative, so relu zeros them
+    raw = rng.uniform(0.05, 0.5, size=(5, 5)) * np.where(rng.uniform(size=(5, 5)) < 0.35, -1.0, 1.0)
+    return lambda l: _readout(gr.normalize_adjacency(gr.common_adjacency(l[0]))), [raw]
+
+
+@pytest.mark.parametrize("builder", [_batched, _asymmetric, _region_graph, _common_with_relu_zeros],
+                         ids=lambda b: b.__name__.lstrip("_"))
+def test_gradient_of_normalization(builder):
+    for seed in range(4):
+        f, arrays = builder(np.random.default_rng(zlib.crc32(f"{builder.__name__}:{seed}".encode())))
+        err = ad.gradient_check(f, arrays, eps=1e-5)
+        assert err < 1e-5, f"{builder.__name__} seed {seed}: rel err {err}"

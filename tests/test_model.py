@@ -183,15 +183,6 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         npt.assert_array_equal(loaded[name].value, node.value)
 
 
-def test_load_with_wrong_runtime_config(tmp_path):
-    cfg = tiny_config()
-    path = str(tmp_path / "params.bin")
-    mdl.save_params(path, mdl.init_model(cfg, 12), cfg)
-    other = tiny_config(n_channels=5)
-    with pytest.raises(mdl.ParamsConfigMismatchError):
-        mdl.load_params(path, expected_config=other)
-
-
 def test_truncated_file_is_corrupt_not_partial(tmp_path):
     cfg = tiny_config()
     path = str(tmp_path / "params.bin")
@@ -278,7 +269,8 @@ V1_SEED = 2024
 
 
 def test_v1_fixture_loads_bit_exact():
-    loaded, _cfg = mdl.load_params(V1_FIXTURE, expected_config=V1_CONFIG)
+    loaded, cfg = mdl.load_params(V1_FIXTURE)
+    assert cfg == V1_CONFIG
     fresh = mdl.init_model(V1_CONFIG, V1_SEED)
     assert list(loaded) == list(fresh)
     for name, node in fresh.items():

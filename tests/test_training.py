@@ -117,6 +117,9 @@ def test_train_config_validation():
         tr.TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         tr.TrainConfig(batch_size=0)
+    for epochs in (0, -1):
+        with pytest.raises(ValueError, match="max_epochs"):
+            tr.TrainConfig(max_epochs=epochs)
     with pytest.raises(ValueError):
         tr.TrainConfig(lam=-1e-9)
     with pytest.raises(ValueError):
