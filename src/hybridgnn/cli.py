@@ -36,7 +36,9 @@ from .model import (
 )
 from .extractor import output_lengths
 from .graphs import common_adjacency
-from .training import N_FOLDS, TrainConfig, evaluate, format_table, ten_fold_cv, train_model
+from .training import (
+    FOLD_WORKERS, N_FOLDS, TrainConfig, evaluate, format_table, ten_fold_cv, train_model,
+)
 from .rng import subseed
 
 # dataset presets: hyperparameters and windowing as published for each corpus
@@ -77,7 +79,7 @@ DEFAULTS = {
     "overlap": 0.0,
     # run
     "preset": None,
-    "folds_parallel": 1,
+    "folds_parallel": FOLD_WORKERS,
 }
 
 SWEEP_GRIDS = {
@@ -183,7 +185,7 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def synth_recordings(cfg: dict):
-    """The configured synthetic recordings; non-positive sizes are refused."""
+    """The configured synthetic recordings; non-positive or non-finite sizes are refused."""
     try:
         return synth_generate(
             cfg["synth_subjects_per_class"],
@@ -397,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="subject-exclusive ten-fold cross-validation")
     _add_common_flags(p)
     p.add_argument("--folds-parallel", type=int, dest="folds_parallel",
-                   help="run folds in this many worker processes")
+                   help="run folds in this many worker processes; 1 runs them "
+                        f"serially (default here: {FOLD_WORKERS})")
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("ablation", help="cross-validate every architecture variant")

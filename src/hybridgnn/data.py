@@ -140,8 +140,8 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float):
     the recording is shorter than one window. Each segment's data is a
     read-only view into `rec.signal`, not a copy.
     """
-    if not window_s > 0.0:
-        raise DatasetError(f"window_s must be > 0, got {window_s}")
+    if not (window_s > 0.0 and math.isfinite(window_s)):
+        raise DatasetError(f"window_s must be > 0 and finite, got {window_s}")
     if not 0.0 <= overlap_frac < 1.0:
         raise DatasetError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
     window = Fraction(window_s) * Fraction(rec.sampling_rate)
@@ -301,8 +301,8 @@ def _band_source(rng: np.random.Generator, t: np.ndarray, low: float, high: floa
 def synth_generate(n_per_class: int, seconds: float, n_channels: int = 19,
                    fs: float = 256.0, seed: int = 0):
     """Deterministic class-conditional synthetic recordings (one per subject)."""
-    if n_per_class <= 0 or seconds <= 0 or n_channels <= 0 or fs <= 0:
-        raise ValueError("synth_generate: all arguments must be positive")
+    if not all(v > 0 and math.isfinite(v) for v in (n_per_class, seconds, n_channels, fs)):
+        raise ValueError("synth_generate: all arguments must be positive and finite")
     n_samples = int(round(seconds * fs))
     t = np.arange(n_samples) / fs
     n_front = frontal_channels(n_channels)

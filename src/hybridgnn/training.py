@@ -8,7 +8,10 @@ no individual contributes segments to both sides of a fold.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -34,14 +37,14 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be >= 0 and finite, got {self.lam}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
@@ -320,10 +323,37 @@ def _run_fold(segset: SegmentSet, mcfg: ModelConfig, tcfg: TrainConfig, test_sub
     return evaluate(params, mcfg, segset.x[test_mask], segset.y[test_mask])
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS if it exports its thread-count setter, else None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def default_fold_workers() -> int:
+    """One fold worker per available CPU, at most N_FOLDS. Workers run BLAS
+    on one thread each; where that cannot be set, the workers' BLAS threads
+    would oversubscribe the CPUs, so folds run serially."""
+    if _openblas() is None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(N_FOLDS, cpus or 1)
+
+
+FOLD_WORKERS = default_fold_workers()
 _WORKER_STATE = {}
 
 
 def _worker_init(segset, mcfg, tcfg):
+    # the workers already use every CPU between them; more BLAS threads per
+    # worker only contend, and made the pool's wall time bimodal, at times
+    # several times the serial run's
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
     _WORKER_STATE["args"] = (segset, mcfg, tcfg)
 
 
@@ -337,19 +367,21 @@ def ten_fold_cv(
     segset: SegmentSet,
     mcfg: ModelConfig,
     tcfg: TrainConfig,
-    n_jobs: int = 1,
+    n_jobs: int = FOLD_WORKERS,
     log=None,
 ) -> FoldReport:
     """Subject-exclusive cross-validation with per-fold re-initialization.
 
-    Folds are independent; `n_jobs > 1` runs them in worker processes and
-    produces metrics identical to the serial order.
+    Folds are independent; `n_jobs > 1` runs them in up to `n_jobs` worker
+    processes (no more than there are folds) and produces metrics identical
+    to the serial order.
     """
     groups = partition_subjects(segset.subjects, tcfg.seed)
+    n_workers = min(n_jobs, len(groups))
     folds = []
-    if n_jobs > 1:
+    if n_workers > 1:
         with ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=_worker_init, initargs=(segset, mcfg, tcfg)
+            max_workers=n_workers, initializer=_worker_init, initargs=(segset, mcfg, tcfg)
         ) as pool:
             for k, counts in enumerate(pool.map(_worker_run, groups, range(len(groups)))):
                 folds.append(Metrics(*counts))

@@ -268,8 +268,8 @@ def test_criterion_10_cv_determinism(tmp_path):
         "--n-regions", "2", "--epochs", "2", "--batch-size", "8", "--seed", "10",
     ]
     outs = [str(tmp_path / n) for n in ("a", "b", "par")]
-    assert cli_main(["cv", "--out", outs[0], *flags]) == 0
-    assert cli_main(["cv", "--out", outs[1], *flags]) == 0
+    assert cli_main(["cv", "--out", outs[0], "--folds-parallel", "1", *flags]) == 0
+    assert cli_main(["cv", "--out", outs[1], "--folds-parallel", "1", *flags]) == 0
     blobs = [open(os.path.join(o, "report.json"), "rb").read() for o in outs[:2]]
     byte_identical = blobs[0] == blobs[1]
     assert cli_main(["cv", "--out", outs[2], "--folds-parallel", "4", *flags]) == 0

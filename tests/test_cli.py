@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hybridgnn import data as dat
-from hybridgnn.cli import _export_graphs, main, resolve_config, build_parser
+from hybridgnn.cli import DEFAULTS, _export_graphs, main, resolve_config, build_parser
+from hybridgnn.training import FOLD_WORKERS
 
 from test_model import _rewrite_header, unchain_extractor
 
@@ -105,13 +106,17 @@ TOO_FEW_SUBJECTS = "need at least 10 subjects for 10-fold CV, have 4"
 @pytest.mark.parametrize("argv, message", [
     (["train", "--epochs", "0"], "max_epochs must be >= 1"),
     (["train", "--epochs", "-1"], "max_epochs must be >= 1"),
+    (["train", "--lr", "nan"], "learning_rate must be > 0 and finite"),
+    (["train", "--lambda", "nan"], "lam must be >= 0 and finite"),
     (["cv", "--folds-parallel", "0"], "folds_parallel must be >= 1"),
     (["cv", "--folds-parallel", "-2"], "folds_parallel must be >= 1"),
     (["train", "--window-seconds", "0"], "window_s must be > 0"),
     (["train", "--window-seconds", "-1"], "window_s must be > 0"),
+    (["train", "--window-seconds", "inf"], "window_s must be > 0 and finite"),
     (["train", "--window-seconds", "0.25"], "segment too short: layer 1"),
     (["eval", "--params", V1_FIXTURE, "--window-seconds", "0.25"], "segment too short: layer 1"),
     (["train", "--synth-fs", "0"], "all arguments must be positive"),
+    (["train", "--synth-fs", "inf"], "all arguments must be positive and finite"),
     (["train", "--synth-seconds", "0"], "all arguments must be positive"),
     (["train", "--synth-subjects", "0"], "all arguments must be positive"),
     (["cv", "--synth-subjects", "2"], TOO_FEW_SUBJECTS),
@@ -120,10 +125,11 @@ TOO_FEW_SUBJECTS = "need at least 10 subjects for 10-fold CV, have 4"
     (["sweep", "--param", "n_regions", "--values", "2,9"], "n_regions must be in [1, n_channels]"),
     (["sweep", "--param", "lambda", "--values", "abc"], "--values"),
 ], ids=[
-    "epochs-0", "epochs-neg", "folds-parallel-0", "folds-parallel-neg",
-    "window-0", "window-neg", "window-below-receptive-field", "eval-window-below-receptive-field",
-    "synth-fs-0", "synth-seconds-0", "synth-subjects-0", "cv-4-subjects", "ablation-4-subjects",
-    "sweep-4-subjects", "sweep-value-refused", "sweep-values-unparsable",
+    "epochs-0", "epochs-neg", "lr-nan", "lambda-nan", "folds-parallel-0", "folds-parallel-neg",
+    "window-0", "window-neg", "window-inf", "window-below-receptive-field",
+    "eval-window-below-receptive-field", "synth-fs-0", "synth-fs-inf", "synth-seconds-0",
+    "synth-subjects-0", "cv-4-subjects", "ablation-4-subjects", "sweep-4-subjects",
+    "sweep-value-refused", "sweep-values-unparsable",
 ])
 def test_refused_run_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     # later flags win, so argv's settings override the TINY ones
@@ -174,8 +180,8 @@ def test_cv_report_structure_and_defaults_echo(tmp_path):
 
 def test_cv_byte_identical_reruns_and_parallel_equality(tmp_path):
     outs = [str(tmp_path / n) for n in ("s1", "s2", "par")]
-    assert run("cv", "--out", outs[0], "--seed", "2", *TINY_FLAGS) == 0
-    assert run("cv", "--out", outs[1], "--seed", "2", *TINY_FLAGS) == 0
+    assert run("cv", "--out", outs[0], "--seed", "2", "--folds-parallel", "1", *TINY_FLAGS) == 0
+    assert run("cv", "--out", outs[1], "--seed", "2", "--folds-parallel", "1", *TINY_FLAGS) == 0
     blob1 = open(os.path.join(outs[0], "report.json"), "rb").read()
     blob2 = open(os.path.join(outs[1], "report.json"), "rb").read()
     assert blob1 == blob2
@@ -184,6 +190,16 @@ def test_cv_byte_identical_reruns_and_parallel_equality(tmp_path):
     parallel = json.load(open(os.path.join(outs[2], "report.json")))
     assert serial["folds"] == parallel["folds"]
     assert serial["mean"] == parallel["mean"]
+
+
+def test_cv_default_fold_pool_report_is_byte_identical_to_serial(tmp_path):
+    outs = [str(tmp_path / n) for n in ("default", "serial")]
+    assert run("cv", "--out", outs[0], "--seed", "5", *TINY_FLAGS) == 0
+    assert run("cv", "--out", outs[1], "--seed", "5", "--folds-parallel", "1", *TINY_FLAGS) == 0
+    blobs = [open(os.path.join(out, "report.json"), "rb").read() for out in outs]
+    assert blobs[0] == blobs[1]
+    echo = json.load(open(os.path.join(outs[0], "config.json")))
+    assert echo["folds_parallel"] == DEFAULTS["folds_parallel"] == FOLD_WORKERS
 
 
 def test_ablation_table_and_shared_partitions(tmp_path):

@@ -51,7 +51,7 @@ def test_too_short_recording_is_empty_not_error():
 
 def test_non_positive_window_rejected():
     rec = _recording(10.0, 32.0)
-    for window_s in (0.0, -1.0, float("nan")):
+    for window_s in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(dat.DatasetError, match="window_s must be > 0"):
             dat.segment_recording(rec, window_s, 0.0)
 
@@ -246,6 +246,10 @@ def test_synth_rejects_bad_arguments():
         dat.synth_generate(0, 10.0)
     with pytest.raises(ValueError):
         dat.synth_generate(2, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        dat.synth_generate(2, float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        dat.synth_generate(2, 10.0, fs=float("inf"))
 
 
 # --- segment sets ----------------------------------------------------------------

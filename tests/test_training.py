@@ -1,6 +1,8 @@
 """Objective, metrics, optimizers, and cross-validation behavior."""
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -115,6 +117,12 @@ def test_metrics_identities_on_random_counts():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(learning_rate=0.0)
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            tr.TrainConfig(learning_rate=lr)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            tr.TrainConfig(lam=lam)
     with pytest.raises(ValueError):
         tr.TrainConfig(batch_size=0)
     for epochs in (0, -1):
@@ -271,3 +279,48 @@ def test_fold_report_structure():
     assert as_json["train_config"]["lam"] == tcfg.lam
     table = report.to_table()
     assert "ACC" in table and "mean" in table and len(table.splitlines()) == 14
+
+
+# --- fold pool -------------------------------------------------------------------
+
+
+def _blas_threads(_):
+    return tr._openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.mark.skipif(tr._openblas() is None, reason="numpy's bundled OpenBLAS not found")
+def test_fold_worker_runs_blas_on_one_thread():
+    with ProcessPoolExecutor(
+        max_workers=1, initializer=tr._worker_init, initargs=(None, None, None)
+    ) as pool:
+        assert pool.submit(_blas_threads, None).result() == 1
+
+
+def test_default_fold_workers(monkeypatch):
+    assert tr.default_fold_workers() == tr.FOLD_WORKERS
+    if tr._openblas() is not None:
+        assert tr.FOLD_WORKERS == min(tr.N_FOLDS, len(os.sched_getaffinity(0)))
+    # without the BLAS thread setter, workers would oversubscribe the CPUs
+    monkeypatch.setattr(tr, "_openblas", lambda: None)
+    assert tr.default_fold_workers() == 1
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def test_fold_pool_has_at_most_one_worker_per_fold(monkeypatch):
+    requested = []
+
+    def spy(max_workers, **_kwargs):
+        requested.append(max_workers)
+        raise _PoolStarted
+
+    monkeypatch.setattr(tr, "ProcessPoolExecutor", spy)
+    ss = _toy_dataset(seed=10, n_per_class=6, seconds=12.0)
+    tcfg = tr.TrainConfig(seed=11, max_epochs=1, batch_size=16)
+    with pytest.raises(_PoolStarted):
+        tr.ten_fold_cv(ss, tiny_config(), tcfg, n_jobs=64)
+    assert requested == [tr.N_FOLDS]
+    tr.ten_fold_cv(ss, tiny_config(), tcfg, n_jobs=1)  # serial: no pool
+    assert requested == [tr.N_FOLDS]
