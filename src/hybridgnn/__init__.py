@@ -8,7 +8,6 @@ oracles in the test suite.
 """
 
 from .data import (
-    EegSegment,
     Recording,
     SegmentSet,
     load_dataset,
@@ -37,7 +36,7 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EegSegment", "FoldReport", "Metrics", "ModelConfig", "Recording",
+    "FoldReport", "Metrics", "ModelConfig", "Recording",
     "SegmentSet", "TrainConfig", "__version__", "evaluate",
     "forward", "forward_batch", "init_model", "load_dataset", "load_params",
     "save_dataset", "save_params", "segment_recording", "synth_generate",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import substream
 
@@ -46,6 +45,10 @@ class UnknownLabelError(DatasetError):
 
 class ManifestKeyError(DatasetError):
     """A manifest entry lacks a required key."""
+
+
+class NonFiniteSampleError(DatasetError):
+    """A signal file holds a NaN or an infinite sample."""
 
 
 class ManifestValueError(DatasetError):
@@ -96,18 +99,6 @@ class Recording:
 
 
 @dataclass
-class EegSegment:
-    data: np.ndarray  # (N, T_s)
-    label: str
-    subject_id: str
-    offset: int  # start position in samples within the source recording
-
-    @property
-    def label_index(self) -> int:
-        return LABEL_INDEX[self.label]
-
-
-@dataclass
 class SegmentSet:
     """Stacked segments ready for training: x (M, N, T_s), y (M,), subjects (M,)."""
 
@@ -115,67 +106,64 @@ class SegmentSet:
     y: np.ndarray
     subjects: np.ndarray
 
-    @classmethod
-    def from_segments(cls, segments) -> "SegmentSet":
-        if not segments:
-            raise DatasetError("no segments")
-        shapes = {s.data.shape for s in segments}
-        if len(shapes) != 1:
-            raise DatasetError(f"segments have mixed shapes: {sorted(shapes)}")
-        return cls(
-            x=np.stack([s.data for s in segments]),
-            y=np.array([s.label_index for s in segments], dtype=np.int64),
-            subjects=np.array([s.subject_id for s in segments], dtype=object),
-        )
-
     def __len__(self) -> int:
         return len(self.x)
 
 
-def segment_recording(rec: Recording, window_s: float, overlap_frac: float):
-    """Cut a recording into fixed windows.
+def _window_samples(window_s: float, sampling_rate: float) -> int:
+    """Samples in a window of `window_s` seconds; refuses a fractional count."""
+    window = Fraction(window_s) * Fraction(sampling_rate)
+    if window.denominator != 1:
+        raise DatasetError(
+            f"window of {window_s}s at {sampling_rate}Hz is not a whole number of samples"
+        )
+    return int(window)
 
-    Stride is window_s * (1 - overlap_frac) seconds; windows start at
-    0, stride, 2*stride, ... as long as a full window fits. Returns [] when
-    the recording is shorter than one window. Each segment's data is a
-    read-only view into `rec.signal`, not a copy.
+
+def segment_recording(rec: Recording, window_s: float, overlap_frac: float) -> list:
+    """Start offsets, in samples, of a recording's fixed windows.
+
+    Stride is window_s * (1 - overlap_frac) seconds; windows start at the
+    floor of 0, stride, 2*stride, ... (exact in samples) as long as a full
+    window fits. Returns [] when the recording is shorter than one window.
     """
     if not (window_s > 0.0 and math.isfinite(window_s)):
         raise DatasetError(f"window_s must be > 0 and finite, got {window_s}")
     if not 0.0 <= overlap_frac < 1.0:
         raise DatasetError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
-    window = Fraction(window_s) * Fraction(rec.sampling_rate)
-    if window.denominator != 1:
-        raise DatasetError(
-            f"window of {window_s}s at {rec.sampling_rate}Hz is not a whole number of samples"
-        )
-    window = int(window)
+    window = _window_samples(window_s, rec.sampling_rate)
     total = rec.signal.shape[1]
     if total < window:
         return []
     stride = window * (1 - Fraction(overlap_frac))  # exact, in samples
     count = int(Fraction(total - window) / stride) + 1
-    # read-only views into the signal: stacking into a SegmentSet is the only copy
-    views = sliding_window_view(rec.signal, window, axis=1)  # (N, starts, window)
-    segments = []
-    for k in range(count):
-        start = int(k * stride)  # floor of the exact offset
-        segments.append(
-            EegSegment(
-                data=views[:, start],
-                label=rec.label,
-                subject_id=rec.subject_id,
-                offset=start,
-            )
-        )
-    return segments
+    return [int(k * stride) for k in range(count)]  # floor of each exact offset
 
 
 def build_segments(recordings, window_s: float, overlap_frac: float) -> SegmentSet:
-    segments = []
+    """Every recording's windows, copied once into one stacked SegmentSet."""
+    cut = []  # (recording, window length, window starts) of each recording with a window
     for rec in recordings:
-        segments.extend(segment_recording(rec, window_s, overlap_frac))
-    return SegmentSet.from_segments(segments)
+        starts = segment_recording(rec, window_s, overlap_frac)
+        if starts:
+            cut.append((rec, _window_samples(window_s, rec.sampling_rate), starts))
+    if not cut:
+        raise DatasetError("no segments")
+    shapes = {(rec.signal.shape[0], window) for rec, window, _ in cut}
+    if len(shapes) != 1:
+        raise DatasetError(f"segments have mixed shapes: {sorted(shapes)}")
+    counts = [len(starts) for _, _, starts in cut]
+    x = np.empty((sum(counts), *shapes.pop()), dtype=cut[0][0].signal.dtype)
+    row = 0
+    for rec, window, starts in cut:
+        for start in starts:
+            x[row] = rec.signal[:, start : start + window]
+            row += 1
+    return SegmentSet(
+        x=x,
+        y=np.repeat(np.array([LABEL_INDEX[rec.label] for rec, _, _ in cut], dtype=np.int64), counts),
+        subjects=np.repeat(np.array([rec.subject_id for rec, _, _ in cut], dtype=object), counts),
+    )
 
 
 def load_dataset(manifest_path: str):
@@ -230,6 +218,12 @@ def load_dataset(manifest_path: str):
                 f"({n} channels x {n_samples} samples x 8 bytes)"
             )
         signal = np.fromfile(path, dtype="<f8").reshape(n, n_samples)
+        if not np.isfinite(signal).all():
+            channel, index = np.argwhere(~np.isfinite(signal))[0]
+            raise NonFiniteSampleError(
+                f"{path}: channel {entry['channels'][channel]!r} holds a non-finite sample "
+                f"({signal[channel, index]}) at index {index}"
+            )
         recordings.append(
             Recording(
                 subject_id=entry["subject_id"],
@@ -303,7 +297,12 @@ def synth_generate(n_per_class: int, seconds: float, n_channels: int = 19,
     """Deterministic class-conditional synthetic recordings (one per subject)."""
     if not all(v > 0 and math.isfinite(v) for v in (n_per_class, seconds, n_channels, fs)):
         raise ValueError("synth_generate: all arguments must be positive and finite")
-    n_samples = int(round(seconds * fs))
+    n_samples = seconds * fs
+    if not (math.isfinite(n_samples) and round(n_samples) >= 2):
+        raise ValueError(
+            f"synth_generate: seconds * fs gives {n_samples} samples; need a finite count of at least 2"
+        )
+    n_samples = round(n_samples)
     t = np.arange(n_samples) / fs
     n_front = frontal_channels(n_channels)
     recordings = []

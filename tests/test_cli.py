@@ -119,6 +119,10 @@ TOO_FEW_SUBJECTS = "need at least 10 subjects for 10-fold CV, have 4"
     (["train", "--synth-fs", "inf"], "all arguments must be positive and finite"),
     (["train", "--synth-seconds", "0"], "all arguments must be positive"),
     (["train", "--synth-subjects", "0"], "all arguments must be positive"),
+    (["train", "--synth-seconds", "1e200", "--synth-fs", "1e200"], "need a finite count of at least 2"),
+    (["synth", "--synth-seconds", "1e200", "--synth-fs", "1e200"], "need a finite count of at least 2"),
+    (["train", "--synth-seconds", "1", "--synth-fs", "1"], "need a finite count of at least 2"),
+    (["train", "--synth-seconds", "0.01", "--synth-fs", "32"], "need a finite count of at least 2"),
     (["cv", "--synth-subjects", "2"], TOO_FEW_SUBJECTS),
     (["ablation", "--synth-subjects", "2"], TOO_FEW_SUBJECTS),
     (["sweep", "--param", "lambda", "--values", "1e-5", "--synth-subjects", "2"], TOO_FEW_SUBJECTS),
@@ -128,7 +132,8 @@ TOO_FEW_SUBJECTS = "need at least 10 subjects for 10-fold CV, have 4"
     "epochs-0", "epochs-neg", "lr-nan", "lambda-nan", "folds-parallel-0", "folds-parallel-neg",
     "window-0", "window-neg", "window-inf", "window-below-receptive-field",
     "eval-window-below-receptive-field", "synth-fs-0", "synth-fs-inf", "synth-seconds-0",
-    "synth-subjects-0", "cv-4-subjects", "ablation-4-subjects", "sweep-4-subjects",
+    "synth-subjects-0", "synth-size-overflow", "synth-command-size-overflow", "synth-1-sample",
+    "synth-0-samples", "cv-4-subjects", "ablation-4-subjects", "sweep-4-subjects",
     "sweep-value-refused", "sweep-values-unparsable",
 ])
 def test_refused_run_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
@@ -136,6 +141,22 @@ def test_refused_run_exits_2_and_writes_nothing(tmp_path, capsys, argv, message)
     out = tmp_path / "refused"
     assert run(argv[0], "--out", str(out), *TINY_FLAGS, *argv[1:]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "eval"])
+def test_non_finite_data_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    recs = dat.synth_generate(5, 12.0, n_channels=4, fs=32.0, seed=0)  # enough subjects for cv
+    manifest = dat.save_dataset(recs, str(tmp_path / "data"))
+    path = tmp_path / "data" / f"{recs[3].subject_id}.f64"
+    signal = np.fromfile(path, "<f8").reshape(4, -1)
+    signal[2, 100] = np.nan
+    signal.tofile(path)
+    out = tmp_path / "refused"
+    flags = TINY_FLAGS[TINY_FLAGS.index("--n-channels"):]
+    params = ["--params", V1_FIXTURE] if command == "eval" else []
+    assert run(command, "--out", str(out), "--manifest", manifest, *params, *flags) == 2
+    assert f"{path}: channel 'ch02' holds a non-finite sample (nan) at index 100" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -80,28 +80,37 @@ def test_counts_match_enumeration_oracle():
 def test_overlapping_segments_share_exact_samples():
     fs = 128.0
     rec = _recording(20.0, fs)
-    segs = dat.segment_recording(rec, 4.0, 0.75)
+    starts = dat.segment_recording(rec, 4.0, 0.75)
     shared = round(0.75 * 4.0 * fs)
     window = int(4.0 * fs)
-    for a, b in zip(segs, segs[1:]):
-        npt.assert_array_equal(a.data[:, window - shared :], b.data[:, :shared])
+    assert all(b - a == window - shared for a, b in zip(starts, starts[1:]))
+    x = dat.build_segments([rec], 4.0, 0.75).x
+    for a, b in zip(x, x[1:]):
+        npt.assert_array_equal(a[:, window - shared :], b[:, :shared])
 
 
 def test_segments_carry_subject_and_offsets():
     rec = _recording(12.0, 50.0, subject="patient9", label="MDD")
-    segs = dat.segment_recording(rec, 4.0, 0.5)
-    assert all(s.subject_id == "patient9" and s.label == "MDD" for s in segs)
-    assert [s.offset for s in segs] == [0, 100, 200, 300, 400]
-    assert all(s.label_index == 1 for s in segs)
+    assert dat.segment_recording(rec, 4.0, 0.5) == [0, 100, 200, 300, 400]
+    ss = dat.build_segments([rec], 4.0, 0.5)
+    assert list(ss.subjects) == ["patient9"] * 5
+    assert ss.y.dtype == np.int64 and list(ss.y) == [1] * 5
 
 
-def test_segments_are_read_only_views_of_the_signal():
-    rec = _recording(20.0, 64.0)
-    segs = dat.segment_recording(rec, 4.0, 0.5)
-    for seg in segs:
-        assert np.shares_memory(seg.data, rec.signal)
-        assert not seg.data.flags.writeable
-        npt.assert_array_equal(seg.data, rec.signal[:, seg.offset : seg.offset + 256])
+def test_segment_rows_are_copies_of_the_signal_windows():
+    recs = [
+        _recording(20.0, 64.0, subject="a", label="MDD", seed=1),
+        _recording(9.0, 64.0, subject="b", label="HC", seed=2),
+        _recording(13.0, 64.0, subject="c", label="MDD", seed=3),
+    ]
+    ss = dat.build_segments(recs, 4.0, 0.5)
+    rows = [(rec, s) for rec in recs for s in dat.segment_recording(rec, 4.0, 0.5)]
+    assert ss.x.shape == (len(rows), 3, 256)
+    for row, (rec, start) in zip(ss.x, rows):
+        npt.assert_array_equal(row, rec.signal[:, start : start + 256])
+    assert not np.shares_memory(ss.x, recs[0].signal)
+    assert list(ss.subjects) == [rec.subject_id for rec, _ in rows]
+    assert list(ss.y) == [dat.LABEL_INDEX[rec.label] for rec, _ in rows]
 
 
 def test_build_segments_copies_each_window_once():
@@ -161,6 +170,16 @@ def test_size_mismatch_detected(tmp_path):
     blob = open(tmp_path / "s1.f64", "rb").read()
     open(tmp_path / "s1.f64", "wb").write(blob[:-8])
     with pytest.raises(dat.DataSizeMismatchError):
+        dat.load_dataset(manifest)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_names_file_channel_and_index(tmp_path, bad):
+    manifest = dat.save_dataset([_recording(5.0, 50.0, n=3)], str(tmp_path))
+    signal = np.fromfile(tmp_path / "s1.f64", "<f8").reshape(3, 250)
+    signal[1, 40] = signal[2, 7] = bad  # the first in file order is channel c1, index 40
+    signal.tofile(tmp_path / "s1.f64")
+    with pytest.raises(dat.NonFiniteSampleError, match=r"s1\.f64: channel 'c1' .* at index 40$"):
         dat.load_dataset(manifest)
 
 
@@ -250,6 +269,12 @@ def test_synth_rejects_bad_arguments():
         dat.synth_generate(2, float("inf"))
     with pytest.raises(ValueError, match="finite"):
         dat.synth_generate(2, 10.0, fs=float("inf"))
+    # sizes whose product overflows, or rounds below two samples
+    for seconds, fs in ((1e200, 1e200), (1.0, 1.0), (0.5, 1.0), (0.01, 10.0)):
+        with pytest.raises(ValueError, match="need a finite count of at least 2"):
+            dat.synth_generate(2, seconds, fs=fs)
+    for rec in dat.synth_generate(1, 2.0, n_channels=2, fs=1.0):
+        assert rec.signal.shape == (2, 2) and np.isfinite(rec.signal).all()
 
 
 # --- segment sets ----------------------------------------------------------------
@@ -266,9 +291,11 @@ def test_segment_set_grouping_integrity():
 
 
 def test_segment_set_rejects_mixed_shapes():
-    seg_a = dat.EegSegment(np.zeros((3, 10)), "HC", "x", 0)
-    seg_b = dat.EegSegment(np.zeros((4, 10)), "HC", "y", 0)
+    three = _recording(5.0, 10.0, n=3, subject="x")
+    four = _recording(5.0, 10.0, n=4, subject="y")
     with pytest.raises(dat.DatasetError, match="mixed"):
-        dat.SegmentSet.from_segments([seg_a, seg_b])
-    with pytest.raises(dat.DatasetError):
-        dat.SegmentSet.from_segments([])
+        dat.build_segments([three, four], 1.0, 0.0)
+    with pytest.raises(dat.DatasetError, match="no segments"):
+        dat.build_segments([], 1.0, 0.0)
+    with pytest.raises(dat.DatasetError, match="no segments"):
+        dat.build_segments([three, four], 6.0, 0.0)  # both shorter than one window
