@@ -18,6 +18,13 @@ so stacked (batched) operands work the way numpy's `@` does.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -213,9 +220,72 @@ def concat(nodes, axis: int) -> Node:
     return Node(np.concatenate([n.value for n in nodes], axis=axis), "concat", tuple(nodes), bwd)
 
 
-# bytes of im2col and output rows per block of conv1d's largest layer: one
-# block stays in a core's L2 cache (set by timing B=128 19 x 1024 train steps)
-CONV_BLOCK_BYTES = 384 * 1024
+# bytes of im2col and output rows per block of conv1d's largest layer (set by
+# timing B=128 19 x 1024 train steps on 1 and 2 threads: smaller blocks hand
+# the GIL back and forth too often for 2 threads to gain)
+CONV_BLOCK_BYTES = 768 * 1024
+# consecutive blocks per chunk: one conv thread's unit of work, and the unit
+# whose partial weight and bias gradients backward adds up in chunk order.
+# A thread holds one block's temporaries at a time, so a batch has at most
+# one block per chunk in flight: 16 keeps a B=8 19 x 1024 batch to 2 chunks,
+# while a B=128 batch still has 26 chunks to share out
+CONV_CHUNK = 16
+
+
+@functools.cache
+def openblas():
+    """numpy's bundled OpenBLAS if it exports its thread-count setter, else None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+def usable_cpus() -> int:
+    """CPUs this process may use, where numpy's BLAS can be pinned to one
+    thread; else 1, since threads beside a multi-threaded BLAS only contend."""
+    if openblas() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pin_blas() -> None:
+    """Run numpy's BLAS on one thread, where its setter is found."""
+    lib = openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
+# threads that run conv1d's chunks; fold workers set 1, as the workers
+# already fill the CPUs between them
+CONV_THREADS = usable_cpus()
+_POOLS = {}  # thread count -> executor, made on first use
+_POOLS_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool threads
+    os.register_at_fork(after_in_child=_POOLS.clear)
+
+
+def _map_chunks(fn, chunks):
+    """`fn` of every chunk, in chunk order; the chunks run on CONV_THREADS
+    threads of a pool where BLAS can be pinned to one thread, else serially."""
+    threads = min(CONV_THREADS, len(chunks))
+    if threads <= 1 or openblas() is None:
+        return map(fn, chunks)
+    with _POOLS_LOCK:
+        if CONV_THREADS not in _POOLS:
+            # BLAS threads beside the conv threads only contend
+            pin_blas()
+            _POOLS[CONV_THREADS] = ThreadPoolExecutor(CONV_THREADS, thread_name_prefix="conv1d")
+        pool = _POOLS[CONV_THREADS]
+    return pool.map(fn, chunks)
 
 
 class _ConvLayer:
@@ -246,6 +316,16 @@ class _ConvLayer:
         )
         return windows.reshape(-1, self.k * self.c_in)
 
+    def apply(self, cols: np.ndarray, n: int, margins=None) -> np.ndarray:
+        """A block's output (n, T_out, C_out), relu applied, from its im2col
+        rows; `margins`, if given, receives the smallest |pre-activation|."""
+        z = cols @ self.w_flat
+        z += self.b
+        if margins is not None:
+            margins.append(float(np.abs(z).min()))
+        np.maximum(z, 0.0, out=z)
+        return z.reshape(n, self.t_out, self.c_out)
+
     def input_grad(self, gz: np.ndarray, n: int) -> np.ndarray:
         """(n, T_in, C_in) gradient of a block's input from its (n·T_out, C_out)
         pre-activation gradient."""
@@ -273,6 +353,12 @@ def conv1d(x: np.ndarray, layers) -> Node:
     intermediate activation, im2col buffer or inner gradient is ever
     allocated. Forward keeps only the output and the last layer's relu mask
     as packed bits; backward recomputes the earlier layers block by block.
+
+    Chunks of CONV_CHUNK consecutive blocks run on CONV_THREADS threads.
+    Forward writes each chunk's rows of the output; backward sums each
+    chunk's weight and bias gradients over its blocks in block order, then
+    adds the chunks' sums in chunk order. The layout depends only on the
+    shapes, so every result is the same bytes at any thread count.
     """
     xv = np.ascontiguousarray(x, dtype=np.float64)
     if xv.ndim < 2:
@@ -295,54 +381,76 @@ def conv1d(x: np.ndarray, layers) -> Node:
     largest = max(8 * (lay.k * lay.c_in + lay.c_out) * lay.t_out for lay in convs)
     per_block = max(1, CONV_BLOCK_BYTES // largest)
     blocks = [slice(i, i + per_block) for i in range(0, len(signals), per_block)]
-
-    def push(a, n_layers, margins=None):
-        """Run block a (n, T, C_in) through the first `n_layers` layers;
-        returns each layer's im2col rows and output rows (relu applied), and
-        the block's last output (n, T_out, C_out)."""
-        steps = []
-        for lay in convs[:n_layers]:
-            cols = lay.im2col(a)
-            z = cols @ lay.w_flat
-            z += lay.b
-            if margins is not None:
-                margins.append(float(np.abs(z).min()))
-            np.maximum(z, 0.0, out=z)
-            steps.append((cols, z))
-            a = z.reshape(len(a), lay.t_out, lay.c_out)
-        return steps, a
+    chunks = [blocks[i : i + CONV_CHUNK] for i in range(0, len(blocks), CONV_CHUNK)]
 
     out = np.empty((len(signals), c))
     # relu mask of the last layer, whose output is averaged away, one row of
     # bits per signal: backward reads it instead of recomputing that GEMM
     bits = np.empty((len(signals), -(-t * c // 8)), np.uint8)
-    for sl in blocks:
-        _, a = push(signals[sl], len(convs))
-        bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
-        out[sl] = a.mean(axis=1)
+
+    def run(a, margins=None):
+        """Block a (n, T, C_in) through every layer; returns the last output."""
+        n = len(a)
+        for lay in convs:
+            cols = lay.im2col(a)
+            # a is copied into cols, and cols is used up by the GEMM: neither
+            # is held while the next buffer is allocated
+            del a
+            a = lay.apply(cols, n, margins)
+            del cols
+        return a
+
+    def forward_chunk(chunk):
+        for sl in chunk:
+            a = run(signals[sl])
+            bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
+            out[sl] = a.mean(axis=1)
+
+    for _ in _map_chunks(forward_chunk, chunks):
+        pass
+
+    def recompute(a):
+        """Every layer's im2col rows of block a, and where the output of each
+        layer but the last is positive."""
+        n = len(a)
+        cols, positive = [], []
+        for lay in convs[:-1]:
+            cols.append(lay.im2col(a))
+            a = lay.apply(cols[-1], n)
+            positive.append(a > 0.0)
+        return cols + [last.im2col(a)], positive
 
     def bwd(g):
         g = g.reshape(out.shape)
-        gws = [np.zeros_like(lay.w_flat) for lay in convs]
-        gbs = [np.zeros(lay.c_out) for lay in convs]
 
         # one block per call, so its temporaries are freed before the next
-        def accumulate(sl):
-            steps, a = push(signals[sl], len(convs) - 1)
-            n = len(a)
-            cols = [step_cols for step_cols, _z in steps] + [last.im2col(a)]
+        def add_block_grads(sl, gws, gbs):
+            block = signals[sl]
+            n = len(block)
+            cols, positive = recompute(block)
             mask = np.unpackbits(bits[sl], axis=-1, count=t * c).reshape(n, t, c)
             gz = ((g[sl] / t)[:, None, :] * mask).reshape(-1, c)
             for i in range(len(convs) - 1, -1, -1):
                 gws[i] += cols[i].T @ gz
+                cols[i] = None  # free the block's largest buffer before the next
                 gbs[i] += gz.sum(axis=0)
                 if i > 0:
                     ga = convs[i].input_grad(gz, n)
-                    ga = ga * (steps[i - 1][1].reshape(ga.shape) > 0.0)
+                    ga = ga * positive[i - 1].reshape(ga.shape)
                     gz = ga.reshape(-1, convs[i - 1].c_out)
 
-        for sl in blocks:
-            accumulate(sl)
+        def chunk_grads(chunk):
+            gws = [np.zeros_like(lay.w_flat) for lay in convs]
+            gbs = [np.zeros(lay.c_out) for lay in convs]
+            for sl in chunk:
+                add_block_grads(sl, gws, gbs)
+            return gws, gbs
+
+        parts = _map_chunks(chunk_grads, chunks)
+        gws, gbs = next(parts)
+        for chunk_gws, chunk_gbs in parts:
+            for total, part in zip(gws + gbs, chunk_gws + chunk_gbs):
+                total += part
         grads = []
         for lay, gw, gb in zip(convs, gws, gbs):
             grads += [gw.reshape(lay.k, lay.c_in, lay.c_out), gb]
@@ -351,7 +459,7 @@ def conv1d(x: np.ndarray, layers) -> Node:
     def kink():
         margins = []
         for sl in blocks:
-            push(signals[sl], len(convs), margins=margins)
+            run(signals[sl], margins)
         return min(margins)
 
     return Node(out.reshape(xv.shape[:-2] + (c,)), "conv1d", tuple(parents), bwd, kink=kink)

@@ -56,6 +56,11 @@ class ManifestValueError(DatasetError):
     sampling rate differ from the first entry's."""
 
 
+class WindowStrideError(DatasetError):
+    """The overlap leaves a window stride under one sample, so windows would
+    repeat."""
+
+
 MANIFEST_NAME = "manifest.json"
 MANIFEST_KEYS = ("subject_id", "label", "sampling_rate", "channels", "n_samples", "data_file")
 
@@ -126,16 +131,23 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float) -> l
     Stride is window_s * (1 - overlap_frac) seconds; windows start at the
     floor of 0, stride, 2*stride, ... (exact in samples) as long as a full
     window fits. Returns [] when the recording is shorter than one window.
+    Refuses an overlap whose stride is under one sample (WindowStrideError).
     """
     if not (window_s > 0.0 and math.isfinite(window_s)):
         raise DatasetError(f"window_s must be > 0 and finite, got {window_s}")
     if not 0.0 <= overlap_frac < 1.0:
         raise DatasetError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
     window = _window_samples(window_s, rec.sampling_rate)
+    stride = window * (1 - Fraction(overlap_frac))  # exact, in samples
+    if stride < 1:
+        raise WindowStrideError(
+            f"overlap_frac {overlap_frac} leaves a stride of {float(stride):.3g} samples "
+            f"between {window}-sample windows, so windows would repeat; the stride must "
+            "be at least 1 sample"
+        )
     total = rec.signal.shape[1]
     if total < window:
         return []
-    stride = window * (1 - Fraction(overlap_frac))  # exact, in samples
     count = int(Fraction(total - window) / stride) + 1
     return [int(k * stride) for k in range(count)]  # floor of each exact offset
 

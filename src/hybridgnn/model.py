@@ -66,6 +66,8 @@ class ModelConfig:
             raise ValueError("classifier_hidden must be >= 0")
         if self.n_regions < 1 or self.n_regions > self.n_channels:
             raise ValueError(f"n_regions must be in [1, n_channels], got {self.n_regions}")
+        if self.inst_softmax_axis not in ("col", "row"):
+            raise ValueError(f"inst_softmax_axis must be 'col' or 'row', got {self.inst_softmax_axis!r}")
         layers = self.extractor_layers
         if layers is None:
             layers = default_extractor_layers(self.feature_dim)

@@ -8,10 +8,7 @@ no individual contributes segments to both sides of a fold.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -323,37 +320,19 @@ def _run_fold(segset: SegmentSet, mcfg: ModelConfig, tcfg: TrainConfig, test_sub
     return evaluate(params, mcfg, segset.x[test_mask], segset.y[test_mask])
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS if it exports its thread-count setter, else None."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            return lib
-    return None
-
-
-def default_fold_workers() -> int:
-    """One fold worker per available CPU, at most N_FOLDS. Workers run BLAS
-    on one thread each; where that cannot be set, the workers' BLAS threads
-    would oversubscribe the CPUs, so folds run serially."""
-    if _openblas() is None:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(N_FOLDS, cpus or 1)
-
-
-FOLD_WORKERS = default_fold_workers()
+# one fold worker per CPU, at most N_FOLDS; where BLAS cannot be pinned to
+# one thread, the workers' BLAS threads would oversubscribe the CPUs, so
+# folds run serially
+FOLD_WORKERS = min(N_FOLDS, ad.usable_cpus())
 _WORKER_STATE = {}
 
 
 def _worker_init(segset, mcfg, tcfg):
-    # the workers already use every CPU between them; more BLAS threads per
-    # worker only contend, and made the pool's wall time bimodal, at times
-    # several times the serial run's
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
+    # the workers already use every CPU between them; more BLAS or conv
+    # threads per worker only contend, and extra BLAS threads made the pool's
+    # wall time bimodal, at times several times the serial run's
+    ad.pin_blas()
+    ad.CONV_THREADS = 1
     _WORKER_STATE["args"] = (segset, mcfg, tcfg)
 
 

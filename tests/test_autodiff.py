@@ -1,6 +1,9 @@
 """Engine tests: forward semantics of every primitive plus gradient checks
 against central finite differences."""
 
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -501,6 +504,72 @@ def test_fused_conv1d_backward_twice_doubles_gradients(monkeypatch):
     reference = [np.stack([tap.grad for tap in taps1]), np.stack([tap.grad for tap in taps2]), b.grad]
     for got, want in zip(fused, reference):
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def _conv_stack_results(x, arrays, strides):
+    """conv1d's output and every weight and bias gradient of one stack."""
+    leaves = [ad.param(a) for a in arrays]
+    stack = [(leaves[2 * i], leaves[2 * i + 1], stride) for i, stride in enumerate(strides)]
+    out = ad.conv1d(x, stack)
+    ad.backward(scalar_readout(out))
+    return [out.value] + [leaf.grad for leaf in leaves]
+
+
+def test_fused_conv1d_bytes_do_not_depend_on_thread_count(monkeypatch):
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(23, 17, 2))
+    arrays = [rng.normal(size=s) for s in ((3, 2, 4), (4,), (2, 4, 3), (3,))]
+    # layer 1 is the largest (8 * (3*2 + 4) * 8 bytes a signal): 23 signals in
+    # blocks of 2 and a ragged 1, and those 12 blocks in chunks of 5, 5 and 2
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 2 * 8 * (3 * 2 + 4) * 8)
+    monkeypatch.setattr(ad, "CONV_CHUNK", 5)
+    # 2 threads first: a process running the conv on more than one thread
+    # pins BLAS to one, and both runs must see the same BLAS
+    results = {}
+    for threads in (2, 1):
+        monkeypatch.setattr(ad, "CONV_THREADS", threads)
+        results[threads] = _conv_stack_results(x, arrays, (2, 1))
+    for one, two in zip(results[1], results[2]):
+        npt.assert_array_equal(two, one)
+    # the chunked sums agree with one block in one chunk up to sum order
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 10**9)
+    for whole, chunked in zip(_conv_stack_results(x, arrays, (2, 1)), results[2]):
+        npt.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.skipif(ad.openblas() is None, reason="numpy's bundled OpenBLAS not found")
+def test_conv1d_on_two_threads_pins_blas_to_one_thread():
+    # a fresh process, whose BLAS starts at its own default thread count
+    code = (
+        "import numpy as np\n"
+        "from hybridgnn import autodiff as ad\n"
+        "ad.CONV_THREADS, ad.CONV_BLOCK_BYTES = 2, 1\n"
+        "rng = np.random.default_rng(0)\n"
+        "w, b = ad.param(rng.normal(size=(3, 1, 2))), ad.param(rng.normal(size=(2,)))\n"
+        "ad.conv1d(rng.normal(size=(4 * ad.CONV_CHUNK, 8, 1)), [(w, b, 1)])\n"
+        "print(sorted(ad._POOLS), ad.openblas().scipy_openblas_get_num_threads64_())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    assert run.stdout.split() == ["[2]", "1"]
+
+
+def test_conv1d_without_blas_setter_starts_no_pool(monkeypatch):
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a conv thread pool was created")
+
+    monkeypatch.setattr(ad, "openblas", lambda: None)
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(ad, "_POOLS", {})
+    monkeypatch.setattr(ad, "CONV_THREADS", 2)
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 1)  # one signal a block: 4 chunks
+    assert ad.usable_cpus() == 1
+    rng = np.random.default_rng(15)
+    arrays = [rng.normal(size=(3, 1, 2)), rng.normal(size=(2,))]
+    _conv_stack_results(rng.normal(size=(4 * ad.CONV_CHUNK, 8, 1)), arrays, (1,))
+    assert ad._POOLS == {}
 
 
 def test_finite_outputs_on_finite_inputs():

@@ -128,13 +128,16 @@ TOO_FEW_SUBJECTS = "need at least 10 subjects for 10-fold CV, have 4"
     (["sweep", "--param", "lambda", "--values", "1e-5", "--synth-subjects", "2"], TOO_FEW_SUBJECTS),
     (["sweep", "--param", "n_regions", "--values", "2,9"], "n_regions must be in [1, n_channels]"),
     (["sweep", "--param", "lambda", "--values", "abc"], "--values"),
+    (["train", "--overlap", "0.999"], "windows would repeat"),
+    (["eval", "--params", V1_FIXTURE, "--overlap", "0.999"], "windows would repeat"),
 ], ids=[
     "epochs-0", "epochs-neg", "lr-nan", "lambda-nan", "folds-parallel-0", "folds-parallel-neg",
     "window-0", "window-neg", "window-inf", "window-below-receptive-field",
     "eval-window-below-receptive-field", "synth-fs-0", "synth-fs-inf", "synth-seconds-0",
     "synth-subjects-0", "synth-size-overflow", "synth-command-size-overflow", "synth-1-sample",
     "synth-0-samples", "cv-4-subjects", "ablation-4-subjects", "sweep-4-subjects",
-    "sweep-value-refused", "sweep-values-unparsable",
+    "sweep-value-refused", "sweep-values-unparsable", "overlap-below-one-sample",
+    "eval-overlap-below-one-sample",
 ])
 def test_refused_run_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     # later flags win, so argv's settings override the TINY ones
@@ -165,6 +168,15 @@ def test_more_regions_than_channels_exits_2(tmp_path, capsys):
     flags = TINY_FLAGS[:i] + TINY_FLAGS[i + 2 :]  # the default 5 regions on 4 channels
     assert run("train", "--out", str(tmp_path / "x"), *flags) == 2
     assert "n_regions must be in [1, n_channels]" in capsys.readouterr().err
+
+
+def test_config_inst_softmax_axis_refused_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    json.dump({"inst_softmax_axis": "diag"}, open(cfg_path, "w"))
+    out = tmp_path / "refused"
+    assert run("train", "--out", str(out), "--config", cfg_path, *TINY_FLAGS) == 2
+    assert "inst_softmax_axis must be 'col' or 'row', got 'diag'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):

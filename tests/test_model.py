@@ -125,6 +125,11 @@ def test_unknown_variant_rejected():
         tiny_config("z")
 
 
+def test_unknown_inst_softmax_axis_rejected():
+    with pytest.raises(ValueError, match="inst_softmax_axis must be 'col' or 'row', got 'diag'"):
+        tiny_config(inst_softmax_axis="diag")
+
+
 def test_channel_count_mismatch_rejected():
     cfg = tiny_config()
     params = mdl.init_model(cfg, 5)
@@ -258,6 +263,16 @@ def test_table_entry_missing_key_is_corrupt(tmp_path):
     mdl.save_params(path, mdl.init_model(cfg, 18), cfg)
     _rewrite_header(path, lambda h: h["tensors"][2].pop("offset"))
     with pytest.raises(mdl.ParamsCorruptError, match="unreadable header"):
+        mdl.load_params(path)
+
+
+def test_unknown_inst_softmax_axis_in_file_is_corrupt(tmp_path):
+    # the axis alters no tensor shape, so only the config check refuses it
+    cfg = tiny_config()
+    path = str(tmp_path / "params.bin")
+    mdl.save_params(path, mdl.init_model(cfg, 20), cfg)
+    _rewrite_header(path, lambda h: h["config"].update(inst_softmax_axis="diag"))
+    with pytest.raises(mdl.ParamsCorruptError, match="inst_softmax_axis"):
         mdl.load_params(path)
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,21 +42,24 @@ def exact_starts(total, window, stride):
     n=st.integers(1, 3),
 )
 @example(eighths=8, rate=16, overlap=0.3, total=600, n=2)  # a stride of 89.6 samples
-@example(eighths=1, rate=2, overlap=0.75, total=5, n=1)  # a stride of half a sample
+@example(eighths=1, rate=2, overlap=0.75, total=5, n=1)  # a stride of half a sample: refused
 def test_window_starts_match_exact_enumeration(eighths, rate, overlap, total, n):
     window_s, fs = eighths / 8, 8.0 * rate
     rec = dat.Recording("s", "MDD", fs, np.random.default_rng(total).normal(size=(n, total)),
                         [f"c{i}" for i in range(n)])
-    starts = dat.segment_recording(rec, window_s, overlap)
     window = eighths * rate
     stride = window * (1 - Fraction(overlap))
+    if stride < 1:
+        # windows would repeat a start, so the overlap is refused
+        with pytest.raises(dat.WindowStrideError, match="windows would repeat"):
+            dat.segment_recording(rec, window_s, overlap)
+        return
+    starts = dat.segment_recording(rec, window_s, overlap)
     assert starts == exact_starts(total, window, stride)
     if not starts:
         assert total < window
         return
-    # starts never go back, and move on every window once the stride reaches a sample
-    steps = np.diff(starts)
-    assert (steps >= 1).all() if stride >= 1 else (steps >= 0).all()
+    assert (np.diff(starts) >= 1).all()  # strictly increasing
     assert starts[-1] + window <= total  # the last window fits
     assert len(starts) * stride > total - window  # and the next one would not
     ss = dat.build_segments([rec], window_s, overlap)

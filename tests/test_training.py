@@ -285,10 +285,10 @@ def test_fold_report_structure():
 
 
 def _blas_threads(_):
-    return tr._openblas().scipy_openblas_get_num_threads64_()
+    return ad.openblas().scipy_openblas_get_num_threads64_()
 
 
-@pytest.mark.skipif(tr._openblas() is None, reason="numpy's bundled OpenBLAS not found")
+@pytest.mark.skipif(ad.openblas() is None, reason="numpy's bundled OpenBLAS not found")
 def test_fold_worker_runs_blas_on_one_thread():
     with ProcessPoolExecutor(
         max_workers=1, initializer=tr._worker_init, initargs=(None, None, None)
@@ -296,13 +296,32 @@ def test_fold_worker_runs_blas_on_one_thread():
         assert pool.submit(_blas_threads, None).result() == 1
 
 
+def _conv_in_worker(_):
+    """The worker's conv thread count, and the pools it holds after running a
+    conv of 16 chunks of one signal per block."""
+    ad.CONV_BLOCK_BYTES = 1
+    rng = np.random.default_rng(0)
+    w, b = ad.param(rng.normal(size=(3, 1, 2))), ad.param(rng.normal(size=(2,)))
+    ad.backward(ad.reduce_sum(ad.conv1d(rng.normal(size=(16 * ad.CONV_CHUNK, 8, 1)), [(w, b, 1)])))
+    return ad.CONV_THREADS, sorted(ad._POOLS)
+
+
+def test_fold_worker_runs_the_conv_on_one_thread(monkeypatch):
+    # a forked worker starts from the parent's setting, 2 threads here
+    monkeypatch.setattr(ad, "CONV_THREADS", 2)
+    with ProcessPoolExecutor(
+        max_workers=1, initializer=tr._worker_init, initargs=(None, None, None)
+    ) as pool:
+        assert pool.submit(_conv_in_worker, None).result() == (1, [])
+
+
 def test_default_fold_workers(monkeypatch):
-    assert tr.default_fold_workers() == tr.FOLD_WORKERS
-    if tr._openblas() is not None:
-        assert tr.FOLD_WORKERS == min(tr.N_FOLDS, len(os.sched_getaffinity(0)))
+    assert tr.FOLD_WORKERS == min(tr.N_FOLDS, ad.usable_cpus())
+    if ad.openblas() is not None:
+        assert ad.usable_cpus() == len(os.sched_getaffinity(0))
     # without the BLAS thread setter, workers would oversubscribe the CPUs
-    monkeypatch.setattr(tr, "_openblas", lambda: None)
-    assert tr.default_fold_workers() == 1
+    monkeypatch.setattr(ad, "openblas", lambda: None)
+    assert ad.usable_cpus() == 1
 
 
 class _PoolStarted(Exception):
