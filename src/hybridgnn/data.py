@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .extractor import zscore_in_place
 from .rng import substream
 
 LABEL_INDEX = {"HC": 0, "MDD": 1}
@@ -105,7 +106,10 @@ class Recording:
 
 @dataclass
 class SegmentSet:
-    """Stacked segments ready for training: x (M, N, T_s), y (M,), subjects (M,)."""
+    """Stacked segments ready for training: x (M, N, T_s), y (M,), subjects (M,).
+
+    `build_segments` z-scores each row of x per electrode, and the model takes
+    x as it is."""
 
     x: np.ndarray
     y: np.ndarray
@@ -152,8 +156,14 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float) -> l
     return [int(k * stride) for k in range(count)]  # floor of each exact offset
 
 
+# bytes of segments z-scored at a time: the z-score's temporaries stay this
+# small, whatever the size of the set
+ZSCORE_BLOCK_BYTES = 1 << 20
+
+
 def build_segments(recordings, window_s: float, overlap_frac: float) -> SegmentSet:
-    """Every recording's windows, copied once into one stacked SegmentSet."""
+    """Every recording's windows, copied once into one stacked float64
+    SegmentSet and z-scored there in place, per segment and electrode."""
     cut = []  # (recording, window length, window starts) of each recording with a window
     for rec in recordings:
         starts = segment_recording(rec, window_s, overlap_frac)
@@ -165,12 +175,15 @@ def build_segments(recordings, window_s: float, overlap_frac: float) -> SegmentS
     if len(shapes) != 1:
         raise DatasetError(f"segments have mixed shapes: {sorted(shapes)}")
     counts = [len(starts) for _, _, starts in cut]
-    x = np.empty((sum(counts), *shapes.pop()), dtype=cut[0][0].signal.dtype)
+    x = np.empty((sum(counts), *shapes.pop()))
     row = 0
     for rec, window, starts in cut:
         for start in starts:
             x[row] = rec.signal[:, start : start + window]
             row += 1
+    rows = max(1, ZSCORE_BLOCK_BYTES // x[0].nbytes)
+    for i in range(0, len(x), rows):
+        zscore_in_place(x[i : i + rows])
     return SegmentSet(
         x=x,
         y=np.repeat(np.array([LABEL_INDEX[rec.label] for rec, _, _ in cut], dtype=np.int64), counts),

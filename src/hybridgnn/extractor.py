@@ -1,10 +1,10 @@
 """Per-electrode temporal feature extraction with a shared 1-D CNN.
 
-A raw segment (N electrodes x T_s samples) is z-scored per electrode, pushed
-through a small stack of strided valid convolutions with relu, and averaged
-over the remaining time axis, giving one feature vector per electrode. The
-same kernels are applied to every electrode, so the electrode axis is only
-ever permuted, never mixed.
+A segment (N electrodes x T_s samples), z-scored per electrode once when the
+segment set is built (`data.build_segments`), is pushed through a small stack
+of strided valid convolutions with relu, and averaged over the remaining time
+axis, giving one feature vector per electrode. The same kernels are applied
+to every electrode, so the electrode axis is only ever permuted, never mixed.
 """
 
 from __future__ import annotations
@@ -47,19 +47,28 @@ def output_lengths(t_s: int, layer_specs) -> list[int]:
     return lengths
 
 
-def zscore(segment: np.ndarray) -> np.ndarray:
-    """Per-electrode zero-mean unit-std over time (std floored at 1e-8)."""
-    seg = np.asarray(segment, dtype=np.float64)
+def zscore_in_place(seg: np.ndarray) -> np.ndarray:
+    """Per-electrode zero-mean unit-std over time (std floored at
+    Z_SCORE_STD_FLOOR), written over the float64 array `seg`; returns it.
+
+    The z-score is not idempotent bit for bit, so data is normalized once."""
     mu = seg.mean(axis=-1, keepdims=True)
     sd = seg.std(axis=-1, keepdims=True)
-    return (seg - mu) / np.maximum(sd, Z_SCORE_STD_FLOOR)
+    seg -= mu
+    seg /= np.maximum(sd, Z_SCORE_STD_FLOOR)
+    return seg
+
+
+def zscore(segment: np.ndarray) -> np.ndarray:
+    """`zscore_in_place` of a float64 copy of `segment`."""
+    return zscore_in_place(np.array(segment, dtype=np.float64))
 
 
 def extract_features(segment: np.ndarray, params: ExtractorParams) -> ad.Node:
-    """Map (..., N, T_s) raw samples to (..., N, F_d) per-electrode features."""
+    """Map (..., N, T_s) z-scored samples to (..., N, F_d) per-electrode features."""
     specs = [layer[0] for layer in params.layers]
     output_lengths(segment.shape[-1], specs)
     layers = [(w, b, stride) for (_k, stride, _c_in, _c_out), w, b in params.layers]
     # the whole stack is one node, relu after every layer and then the
     # time-mean; the input is channels-last: (..., N, T_s, 1)
-    return ad.conv1d(zscore(segment)[..., None], layers)
+    return ad.conv1d(np.asarray(segment)[..., None], layers)

@@ -202,7 +202,9 @@ def _head(y_all: ad.Node, params: dict) -> ad.Node:
 
 
 def forward_batch(segments: np.ndarray, params: dict, config: ModelConfig):
-    """Run the model on a (B, N, T_s) stack of segments.
+    """Run the model on a (B, N, T_s) stack of segments, z-scored per
+    electrode as `data.build_segments` does (`extractor.zscore` does it for
+    raw segments); they are not normalized again.
 
     Returns (probs node of shape (B, C), diagnostics dict with graph nodes:
     "adj_inst" when the individualized branch exists and "assign" as the
@@ -247,7 +249,8 @@ def forward_batch(segments: np.ndarray, params: dict, config: ModelConfig):
 
 
 def forward(segment: np.ndarray, params: dict, config: ModelConfig):
-    """Single-segment forward: (N, T_s) -> (class probs (C,), diagnostics arrays)."""
+    """Single-segment forward: (N, T_s) z-scored segment -> (class probs (C,),
+    diagnostics arrays)."""
     segment = np.asarray(segment, dtype=np.float64)
     if segment.ndim != 2:
         raise ValueError(f"expected one (N, T) segment, got shape {segment.shape}")

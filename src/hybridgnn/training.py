@@ -150,7 +150,8 @@ def train_epoch(
 
 
 def train_model(x: np.ndarray, y: np.ndarray, mcfg: ModelConfig, tcfg: TrainConfig, log=None):
-    """Train a fresh model; returns (params, per-epoch history)."""
+    """Train a fresh model on segments x z-scored as `build_segments` makes
+    them; returns (params, per-epoch history)."""
     params = init_model(mcfg, subseed(tcfg.seed, "params"))
     optimizer = _make_optimizer(tcfg)
     shuffle_rng = substream(tcfg.seed, "shuffle")
@@ -193,8 +194,9 @@ class Metrics:
 
 def evaluate(params: dict, mcfg: ModelConfig, x: np.ndarray, y: np.ndarray,
              on_batch=None) -> Metrics:
-    """Argmax predictions over a shard; positive class is index 1 (patient).
-    `on_batch` is passed to `predict`."""
+    """Argmax predictions over a shard of z-scored segments, as `train_model`
+    takes them; positive class is index 1 (patient). `on_batch` is passed to
+    `predict`."""
     if len(x) == 0:
         raise ValueError("evaluate: empty shard")
     preds = predict(params, mcfg, x, on_batch)

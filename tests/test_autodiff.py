@@ -537,6 +537,48 @@ def test_fused_conv1d_bytes_do_not_depend_on_thread_count(monkeypatch):
         npt.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-14)
 
 
+def test_folded_bias_gradient_matches_summed_reference(monkeypatch):
+    # each im2col row ends in a 1, so the GEMM that gives a layer's weight
+    # gradient gives its bias gradient as its last row, summed in the GEMM's
+    # order; the reference sums the pre-activation gradient gz with numpy
+    # (gz.sum over signals and time). They agree within 1e-12 of the largest
+    # entry, and the fused results are the same bytes on 1 thread and on 2.
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(24, 96, 1))
+    arrays = [rng.normal(size=(7, 1, 16)) / 2, rng.normal(size=16),
+              rng.normal(size=(5, 16, 32)) / 9, rng.normal(size=32)]
+    # the extractor's layers; layer 1 is the largest (8 * (5*16 + 32) * 10
+    # bytes a signal): blocks of 3 signals, and 8 blocks in chunks of 3, 3, 2
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 3 * 8 * (5 * 16 + 32) * 10)
+    monkeypatch.setattr(ad, "CONV_CHUNK", 3)
+    results = {}
+    for threads in (2, 1):
+        monkeypatch.setattr(ad, "CONV_THREADS", threads)
+        results[threads] = _conv_stack_results(x, arrays, (4, 2))
+    for one, two in zip(results[1], results[2]):
+        npt.assert_array_equal(two, one)
+    taps1, taps2 = ([ad.param(tap) for tap in w] for w in arrays[0::2])
+    b1, b2 = (ad.param(b) for b in arrays[1::2])
+    ad.backward(scalar_readout(_reference_conv_stack(x, [(taps1, b1, 4), (taps2, b2, 2)])))
+    for fused, reference in ((results[1][2], b1.grad), (results[1][4], b2.grad)):
+        npt.assert_allclose(fused, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
+
+def test_folded_bias_gradient_check_over_reused_buffers(monkeypatch):
+    # blocks of 2 signals in chunks of 2 blocks: 5 signals make one chunk
+    # that reuses its im2col buffers, ones columns included, and one ragged
+    # chunk whose single signal fills half of its buffers
+    monkeypatch.setattr(ad, "CONV_CHUNK", 2)
+    # (largest layer's bytes a signal, layers): one layer 8 * (3 + 4) * 8
+    # bytes; two layers, the first the largest at 8 * (4 + 3) * 7
+    for seed, (largest, layers) in enumerate([(448, [(3, 4, 2)]), (392, [(4, 3, 2), (3, 2, 2)])]):
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 2 * largest)
+        f, arrays = _conv_stack(np.random.default_rng(seed), (5, 17, 1), layers)
+        assert all(np.abs(b).min() > 0.0 for b in arrays[1::2])
+        err = ad.gradient_check(f, arrays, eps=1e-5)
+        assert err < 1e-5, f"{len(layers)}-layer stack: rel err {err}"
+
+
 @pytest.mark.skipif(ad.openblas() is None, reason="numpy's bundled OpenBLAS not found")
 def test_conv1d_on_two_threads_pins_blas_to_one_thread():
     # a fresh process, whose BLAS starts at its own default thread count

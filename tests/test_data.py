@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from hybridgnn import data as dat
+from hybridgnn import extractor as ex
 
 
 def _recording(seconds=300.0, fs=100.0, n=3, subject="s1", label="HC", seed=0):
@@ -85,8 +86,9 @@ def test_overlapping_segments_share_exact_samples():
     window = int(4.0 * fs)
     assert all(b - a == window - shared for a, b in zip(starts, starts[1:]))
     x = dat.build_segments([rec], 4.0, 0.75).x
-    for a, b in zip(x, x[1:]):
-        npt.assert_array_equal(a[:, window - shared :], b[:, :shared])
+    # each row is its own window of the signal, z-scored per electrode
+    for row, start in zip(x, starts):
+        npt.assert_array_equal(row, ex.zscore(rec.signal[:, start : start + window]))
 
 
 def test_segments_carry_subject_and_offsets():
@@ -107,14 +109,15 @@ def test_segment_rows_are_copies_of_the_signal_windows():
     rows = [(rec, s) for rec in recs for s in dat.segment_recording(rec, 4.0, 0.5)]
     assert ss.x.shape == (len(rows), 3, 256)
     for row, (rec, start) in zip(ss.x, rows):
-        npt.assert_array_equal(row, rec.signal[:, start : start + 256])
+        npt.assert_array_equal(row, ex.zscore(rec.signal[:, start : start + 256]))
     assert not np.shares_memory(ss.x, recs[0].signal)
     assert list(ss.subjects) == [rec.subject_id for rec, _ in rows]
     assert list(ss.y) == [dat.LABEL_INDEX[rec.label] for rec, _ in rows]
 
 
 def test_build_segments_copies_each_window_once():
-    # 180 windows of 19 x 1024 at 75 % overlap: stacking is the only copy
+    # 180 windows of 19 x 1024 at 75 % overlap: stacking is the only copy,
+    # and the z-score in place adds no temporary near the size of the set
     recs = [
         dat.Recording(f"s{i}", "HC", 256.0, np.random.default_rng(i).normal(size=(19, 16128)),
                       [f"c{j}" for j in range(19)])

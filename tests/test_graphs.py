@@ -114,6 +114,21 @@ def test_hand_computed_two_node_normalization():
     npt.assert_allclose(out, 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
+def test_one_node_normalizes_to_one_with_zero_gradient():
+    # a 1 x 1 adjacency a has degree d = a + 1, so it normalizes to the
+    # constant (a + 1) / d = 1 and its gradient is 0; in float64 both are
+    # within a few rounding errors (1/sqrt(d), two products), which is where
+    # gradient_check's central difference reads only noise
+    eps = np.finfo(np.float64).eps
+    g = np.array([[[0.7]], [[-2.0]]])
+    for a in (0.0, 0.3, 1.0, 3.0, 7.5, 1e3):
+        adj = ad.param(np.full((2, 1, 1), a))
+        out = gr.normalize_adjacency(adj)
+        npt.assert_allclose(out.value, 1.0, rtol=0, atol=4 * eps)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+        npt.assert_allclose(adj.grad, 0.0, rtol=0, atol=4 * eps * np.abs(g).max() / (1.0 + a))
+
+
 def test_symmetric_iff_input_symmetric():
     rng = np.random.default_rng(7)
     for _ in range(20):

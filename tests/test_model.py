@@ -11,7 +11,9 @@ import numpy.testing as npt
 import pytest
 
 from hybridgnn import autodiff as ad
+from hybridgnn import data as dat
 from hybridgnn import model as mdl
+from hybridgnn.extractor import zscore
 from hybridgnn.training import batch_loss
 
 TINY = dict(
@@ -52,6 +54,26 @@ def test_single_segment_forward_matches_batched():
             npt.assert_allclose(probs, stacked.value[i], atol=1e-12)
             if diag["adj_inst"] is not None:
                 npt.assert_allclose(d["adj_inst"], diag["adj_inst"].value[i], atol=1e-12)
+
+
+def test_segments_are_normalized_exactly_once(monkeypatch):
+    # build_segments z-scores each window and the model takes the set as it
+    # is: the features forward_batch computes are those of the z-scored raw
+    # windows, bit for bit (the z-score is not idempotent bit for bit, so a
+    # second one would show, as would a missing one on this offset signal)
+    cfg = tiny_config()
+    signal = 5.0 + 3.0 * np.random.default_rng(4).normal(size=(4, 320))
+    rec = dat.Recording("s", "MDD", 32.0, signal, [f"c{i}" for i in range(4)])
+    segs = dat.build_segments([rec], 2.0, 0.5)
+    raw = np.stack([signal[:, s : s + 64] for s in dat.segment_recording(rec, 2.0, 0.5)])
+    params = mdl.init_model(cfg, 5)
+    seen = []
+    extract = mdl.extract_features
+    monkeypatch.setattr(mdl, "extract_features", lambda x, p: seen.append(extract(x, p)) or seen[-1])
+    mdl.forward_batch(segs.x, params, cfg)
+    layers = [(params[f"extractor.{i}.w"], params[f"extractor.{i}.b"], spec[1])
+              for i, spec in enumerate(cfg.extractor_layers)]
+    npt.assert_array_equal(seen[0].value, ad.conv1d(zscore(raw)[..., None], layers).value)
 
 
 def test_diagnostics_presence_per_variant():

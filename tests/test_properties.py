@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridgnn import data as dat
+from hybridgnn import extractor as ex
 from hybridgnn import model as mdl
 
 REPLAY = settings(derandomize=True, deadline=None)
@@ -65,7 +66,7 @@ def test_window_starts_match_exact_enumeration(eighths, rate, overlap, total, n)
     ss = dat.build_segments([rec], window_s, overlap)
     assert ss.x.shape == (len(starts), n, window)
     for row, start in zip(ss.x, starts):
-        npt.assert_array_equal(row, rec.signal[:, start : start + window])
+        npt.assert_array_equal(row, ex.zscore(rec.signal[:, start : start + window]))
     assert list(ss.y) == [1] * len(starts) and list(ss.subjects) == ["s"] * len(starts)
 
 
