@@ -11,6 +11,10 @@ across calls; use `zero_grads` to reset between optimizer steps. An
 intermediate node's gradient is dropped once it has been passed on to its
 parents, so it is not held for as long as the graph lives.
 
+Inside `no_grad()` a new node records no parents, no backward rule and no
+kink, so a forward run there keeps no graph: each intermediate value is freed
+as soon as nothing reads it, and `backward` of its result does nothing.
+
 Elementwise primitives follow numpy broadcasting; gradients are summed back
 over broadcast axes. `matmul` and `transpose` operate on the last two axes,
 so stacked (batched) operands work the way numpy's `@` does.
@@ -18,6 +22,7 @@ so stacked (batched) operands work the way numpy's `@` does.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -40,12 +45,35 @@ class ShapeMismatch(ValueError):
         super().__init__(f"{op}: incompatible shapes {' vs '.join(str(tuple(s)) for s in shapes)}")
 
 
+# whether new nodes record their graph; per thread, as in `no_grad`
+_RECORDING = threading.local()
+
+
+def recording() -> bool:
+    """False inside `no_grad` on this thread."""
+    return getattr(_RECORDING, "on", True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build nodes without a graph on this thread until the block exits;
+    blocks nest, and each restores the state it found."""
+    outer = recording()
+    _RECORDING.on = False
+    try:
+        yield
+    finally:
+        _RECORDING.on = outer
+
+
 class Node:
     """One vertex of the computation graph: a value and its gradient slot."""
 
     __slots__ = ("value", "grad", "op", "parents", "needs_grad", "_backward", "kink")
 
     def __init__(self, value, op="leaf", parents=(), backward=None, needs_grad=None, kink=None):
+        if not recording():
+            parents, backward, kink = (), None, None
         self.value = value
         self.grad = None
         self.op = op
@@ -364,8 +392,8 @@ def conv1d(x: np.ndarray, layers) -> Node:
     allocated. Each im2col row ends in a 1 and each flattened kernel in the
     bias, so one GEMM per layer and block gives the pre-activation in forward,
     and the weight and bias gradients in backward. Forward keeps only the
-    output and the last layer's relu mask as packed bits; backward recomputes
-    the earlier layers block by block.
+    output and, where backward can reach the node, the last layer's relu mask
+    as packed bits; backward recomputes the earlier layers block by block.
 
     Chunks of CONV_CHUNK consecutive blocks run on CONV_THREADS threads, each
     chunk with its own im2col buffers, reused across its blocks. Forward
@@ -403,8 +431,10 @@ def conv1d(x: np.ndarray, layers) -> Node:
 
     out = np.empty((len(signals), c))
     # relu mask of the last layer, whose output is averaged away, one row of
-    # bits per signal: backward reads it instead of recomputing that GEMM
-    bits = np.empty((len(signals), -(-t * c // 8)), np.uint8)
+    # bits per signal: backward reads it instead of recomputing that GEMM.
+    # Only a node that backward will reach needs it
+    differentiable = recording() and any(p.needs_grad for p in parents)
+    bits = np.empty((len(signals), -(-t * c // 8)), np.uint8) if differentiable else None
 
     def run(a, bufs, margins=None):
         """Block a (n, T, C_in) through every layer; returns the last output."""
@@ -417,7 +447,8 @@ def conv1d(x: np.ndarray, layers) -> Node:
         bufs = buffers()
         for sl in chunk:
             a = run(signals[sl], bufs)
-            bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
+            if differentiable:
+                bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
             # the bits of a.mean(axis=1) where c > 1, in about half its time
             out[sl] = np.einsum("ntc->nc", a) / t
 

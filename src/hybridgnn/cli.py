@@ -199,8 +199,8 @@ def synth_recordings(cfg: dict):
 
 
 def load_segments(cfg: dict, extractor_layers):
-    """Materialize the configured data source as a stacked segment set whose
-    windows are long enough for every layer of `extractor_layers`."""
+    """The configured data source as a segment set whose windows are long
+    enough for every layer of `extractor_layers`."""
     if cfg["manifest"]:
         recordings = load_dataset(cfg["manifest"])
     elif cfg["synth"]:
@@ -208,11 +208,11 @@ def load_segments(cfg: dict, extractor_layers):
     else:
         raise ConfigError("no data source: pass --manifest PATH or --synth")
     segs = build_segments(recordings, cfg["window_seconds"], cfg["overlap"])
-    n_channels = segs.x.shape[1]
+    _m, n_channels, window = segs.shape
     if n_channels != cfg["n_channels"]:
         raise ConfigError(f"the data has {n_channels} channels, but n_channels is {cfg['n_channels']}")
     try:
-        output_lengths(segs.x.shape[-1], extractor_layers)
+        output_lengths(window, extractor_layers)
     except ValueError as exc:
         raise ConfigError(f"window_seconds {cfg['window_seconds']}: {exc}") from None
     return segs
@@ -251,19 +251,23 @@ def cmd_train(args) -> int:
     mcfg, tcfg = model_config(cfg), train_config(cfg)
     segs = load_segments(cfg, mcfg.extractor_layers)
     _prepare_out(cfg, args.out)
+    # training reads every window each epoch, so they are read out once, and
+    # the recordings behind them are let go
+    x, y = segs.x, segs.y
+    del segs
     log_lines = []
 
     def log(line):
         print(line, flush=True)
         log_lines.append(line)
 
-    params, _history = train_model(segs.x, segs.y, mcfg, tcfg, log=log)
+    params, _history = train_model(x, y, mcfg, tcfg, log=log)
     with open(os.path.join(args.out, "training_log.txt"), "w") as fh:
         fh.write("\n".join(log_lines) + "\n")
     save_params(os.path.join(args.out, "params.bin"), params, mcfg)
-    metrics = evaluate(params, mcfg, segs.x, segs.y)
+    metrics = evaluate(params, mcfg, x, y)
     _write_json(os.path.join(args.out, "train_metrics.json"), metrics.to_dict())
-    print(f"trained on {len(segs)} segments; params -> {args.out}/params.bin")
+    print(f"trained on {len(x)} segments; params -> {args.out}/params.bin")
     return 0
 
 
@@ -351,8 +355,9 @@ def cmd_eval(args) -> int:
                 common_adjacency(params["common_adj.raw"]).value, fmt="%.18e",
             )
         export = functools.partial(_export_graphs, graph_dir)
-    # the export is written from the same batched pass that gives the metrics
-    metrics = evaluate(params, mcfg, segs.x, segs.y, on_batch=export)
+    # the export is written from the same batched pass that gives the metrics;
+    # evaluate reads the windows from segs one batch at a time
+    metrics = evaluate(params, mcfg, segs, segs.y, on_batch=export)
     _write_json(os.path.join(args.out, "metrics.json"), metrics.to_dict())
     print(json.dumps(metrics.to_dict(), sort_keys=True))
     if args.export_graphs:
@@ -367,13 +372,13 @@ def _export_graphs(graph_dir: str, start: int, diag: dict) -> None:
     stacks += [(f"assign_{j}", assign) for j, assign in enumerate(diag["assign"])]
     for name, stack in stacks:
         rows, cols = stack.shape[1:]
-        # one format call per file, with the bytes of row-by-row "%.18e" output
-        fmt = "\n".join([" ".join(["%.18e"] * cols)] * rows)
-        for offset, matrix in enumerate(stack):
-            np.savetxt(
-                os.path.join(graph_dir, f"sample_{start + offset:05d}_{name}.txt"),
-                matrix.reshape(1, -1), fmt=fmt,
-            )
+        # one format of the whole file, with the bytes of np.savetxt's
+        # row-by-row "%.18e" output; Python floats format faster than numpy's
+        fmt = "\n".join([" ".join(["%.18e"] * cols)] * rows) + "\n"
+        for offset, values in enumerate(stack.reshape(len(stack), -1).tolist()):
+            path = os.path.join(graph_dir, f"sample_{start + offset:05d}_{name}.txt")
+            with open(path, "w") as fh:
+                fh.write(fmt % tuple(values))
 
 
 def cmd_synth(args) -> int:

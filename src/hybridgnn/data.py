@@ -104,19 +104,53 @@ class Recording:
             )
 
 
+# bytes of segments z-scored at a time: the z-score's temporaries stay this
+# small, whatever the number of rows read
+ZSCORE_BLOCK_BYTES = 1 << 20
+
+
 @dataclass
 class SegmentSet:
-    """Stacked segments ready for training: x (M, N, T_s), y (M,), subjects (M,).
+    """Segments ready for the model: M windows of N electrodes x T_s samples,
+    with labels y (M,) and subjects (M,).
 
-    `build_segments` z-scores each row of x per electrode, and the model takes
-    x as it is."""
+    The set holds the recordings' signals and each window's (recording,
+    start) offset, not the windows. `segs[rows]`, for an int, a slice, an
+    index array or a boolean mask, returns a new float64 array of those
+    windows, each z-scored per electrode; the model takes it as it is.
+    `segs.x` is `segs[:]`, read afresh on every access."""
 
-    x: np.ndarray
+    signals: tuple  # each recording's (N, samples) signal, not copied
+    recording: np.ndarray  # (M,) index into signals
+    starts: np.ndarray  # (M,) first sample of each window
+    window: int  # samples per window
     y: np.ndarray
     subjects: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.starts)
+
+    @property
+    def shape(self) -> tuple:
+        """(M, N, T_s), the shape of `x`."""
+        return (len(self), self.signals[0].shape[0], self.window)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self[:]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        index = np.arange(len(self))[rows]
+        _m, n, window = self.shape
+        out = np.empty(index.shape + (n, window))
+        flat = out.reshape(-1, n, window)
+        for row, i in zip(flat, index.ravel()):
+            start = self.starts[i]
+            row[...] = self.signals[self.recording[i]][:, start : start + window]
+        block = max(1, ZSCORE_BLOCK_BYTES // (8 * n * window))
+        for i in range(0, len(flat), block):
+            zscore_in_place(flat[i : i + block])
+        return out
 
 
 def _window_samples(window_s: float, sampling_rate: float) -> int:
@@ -156,14 +190,10 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float) -> l
     return [int(k * stride) for k in range(count)]  # floor of each exact offset
 
 
-# bytes of segments z-scored at a time: the z-score's temporaries stay this
-# small, whatever the size of the set
-ZSCORE_BLOCK_BYTES = 1 << 20
-
-
 def build_segments(recordings, window_s: float, overlap_frac: float) -> SegmentSet:
-    """Every recording's windows, copied once into one stacked float64
-    SegmentSet and z-scored there in place, per segment and electrode."""
+    """Every recording's windows as one SegmentSet: the recordings' signals
+    and each window's offset, nothing copied. Refuses an empty set and
+    windows of mixed shapes."""
     cut = []  # (recording, window length, window starts) of each recording with a window
     for rec in recordings:
         starts = segment_recording(rec, window_s, overlap_frac)
@@ -175,17 +205,11 @@ def build_segments(recordings, window_s: float, overlap_frac: float) -> SegmentS
     if len(shapes) != 1:
         raise DatasetError(f"segments have mixed shapes: {sorted(shapes)}")
     counts = [len(starts) for _, _, starts in cut]
-    x = np.empty((sum(counts), *shapes.pop()))
-    row = 0
-    for rec, window, starts in cut:
-        for start in starts:
-            x[row] = rec.signal[:, start : start + window]
-            row += 1
-    rows = max(1, ZSCORE_BLOCK_BYTES // x[0].nbytes)
-    for i in range(0, len(x), rows):
-        zscore_in_place(x[i : i + rows])
     return SegmentSet(
-        x=x,
+        signals=tuple(rec.signal for rec, _, _ in cut),
+        recording=np.repeat(np.arange(len(cut)), counts),
+        starts=np.array([start for _, _, starts in cut for start in starts], dtype=np.int64),
+        window=cut[0][1],
         y=np.repeat(np.array([LABEL_INDEX[rec.label] for rec, _, _ in cut], dtype=np.int64), counts),
         subjects=np.repeat(np.array([rec.subject_id for rec, _, _ in cut], dtype=object), counts),
     )

@@ -1,7 +1,7 @@
 """Per-electrode temporal feature extraction with a shared 1-D CNN.
 
-A segment (N electrodes x T_s samples), z-scored per electrode once when the
-segment set is built (`data.build_segments`), is pushed through a small stack
+A segment (N electrodes x T_s samples), z-scored per electrode once when it
+is read from its segment set (`data.SegmentSet`), is pushed through a small stack
 of strided valid convolutions with relu, and averaged over the remaining time
 axis, giving one feature vector per electrode. The same kernels are applied
 to every electrode, so the electrode axis is only ever permuted, never mixed.

@@ -203,8 +203,8 @@ def _head(y_all: ad.Node, params: dict) -> ad.Node:
 
 def forward_batch(segments: np.ndarray, params: dict, config: ModelConfig):
     """Run the model on a (B, N, T_s) stack of segments, z-scored per
-    electrode as `data.build_segments` does (`extractor.zscore` does it for
-    raw segments); they are not normalized again.
+    electrode as reading them from a `data.SegmentSet` does (`extractor.zscore`
+    does it for raw segments); they are not normalized again.
 
     Returns (probs node of shape (B, C), diagnostics dict with graph nodes:
     "adj_inst" when the individualized branch exists and "assign" as the

@@ -150,8 +150,8 @@ def train_epoch(
 
 
 def train_model(x: np.ndarray, y: np.ndarray, mcfg: ModelConfig, tcfg: TrainConfig, log=None):
-    """Train a fresh model on segments x z-scored as `build_segments` makes
-    them; returns (params, per-epoch history)."""
+    """Train a fresh model on segments x z-scored as a `SegmentSet` reads
+    them out; returns (params, per-epoch history)."""
     params = init_model(mcfg, subseed(tcfg.seed, "params"))
     optimizer = _make_optimizer(tcfg)
     shuffle_rng = substream(tcfg.seed, "shuffle")
@@ -192,10 +192,10 @@ class Metrics:
         }
 
 
-def evaluate(params: dict, mcfg: ModelConfig, x: np.ndarray, y: np.ndarray,
-             on_batch=None) -> Metrics:
+def evaluate(params: dict, mcfg: ModelConfig, x, y: np.ndarray, on_batch=None) -> Metrics:
     """Argmax predictions over a shard of z-scored segments, as `train_model`
-    takes them; positive class is index 1 (patient). `on_batch` is passed to
+    takes them; positive class is index 1 (patient). x is an array or a
+    `SegmentSet`, which is read one batch at a time. `on_batch` is passed to
     `predict`."""
     if len(x) == 0:
         raise ValueError("evaluate: empty shard")
@@ -211,16 +211,18 @@ def evaluate(params: dict, mcfg: ModelConfig, x: np.ndarray, y: np.ndarray,
 def _forward_values(segments: np.ndarray, params: dict, mcfg: ModelConfig):
     """`forward_batch` reduced to numpy arrays: probs (B, C) and the
     diagnostics, "adj_inst" (B, N, N) or None and "assign" as a list of
-    (B, N, N_r). The batch's autodiff graph is freed on return, so it is
-    not held while the next batch runs."""
-    probs, diag = forward_batch(segments, params, mcfg)
+    (B, N, N_r). The forward runs under `ad.no_grad`, so it records no
+    autodiff graph: each intermediate is freed once the next op has read it."""
+    with ad.no_grad():
+        probs, diag = forward_batch(segments, params, mcfg)
     adj_inst = None if diag["adj_inst"] is None else diag["adj_inst"].value
     return probs.value, {"adj_inst": adj_inst, "assign": [r.value for r in diag["assign"]]}
 
 
-def predict(params: dict, mcfg: ModelConfig, x: np.ndarray, on_batch=None):
-    """Argmax class per segment. `on_batch(start, diag)`, if given, receives
-    each batch's first segment index and its diagnostics from `_forward_values`."""
+def predict(params: dict, mcfg: ModelConfig, x, on_batch=None):
+    """Argmax class per segment of x, an array or a `SegmentSet`, in batches
+    of EVAL_BATCH_SIZE. `on_batch(start, diag)`, if given, receives each
+    batch's first segment index and its diagnostics from `_forward_values`."""
     preds = []
     for start in range(0, len(x), EVAL_BATCH_SIZE):
         probs, diag = _forward_values(x[start : start + EVAL_BATCH_SIZE], params, mcfg)
@@ -230,9 +232,10 @@ def predict(params: dict, mcfg: ModelConfig, x: np.ndarray, on_batch=None):
     return np.concatenate(preds)
 
 
-def mean_assignment_entropy(params: dict, mcfg: ModelConfig, x: np.ndarray) -> float:
+def mean_assignment_entropy(params: dict, mcfg: ModelConfig, x) -> float:
     """Mean over samples, pooling stages, and channels of the entropy of each
-    assignment row. Returns nan for variants without pooling."""
+    assignment row, over x, an array or a `SegmentSet`. Returns nan for
+    variants without pooling."""
     total = 0.0
     count = 0
     for start in range(0, len(x), EVAL_BATCH_SIZE):
@@ -318,8 +321,10 @@ def partition_subjects(subjects, seed: int):
 def _run_fold(segset: SegmentSet, mcfg: ModelConfig, tcfg: TrainConfig, test_subjects, k: int):
     test_mask = np.isin(segset.subjects, list(test_subjects))
     fold_cfg = replace(tcfg, seed=subseed(tcfg.seed, "fold", str(k)))
-    params, _history = train_model(segset.x[~test_mask], segset.y[~test_mask], mcfg, fold_cfg)
-    return evaluate(params, mcfg, segset.x[test_mask], segset.y[test_mask])
+    # each side's windows are read from the recordings here, so no process
+    # holds the whole set
+    params, _history = train_model(segset[~test_mask], segset.y[~test_mask], mcfg, fold_cfg)
+    return evaluate(params, mcfg, segset[test_mask], segset.y[test_mask])
 
 
 # one fold worker per CPU, at most N_FOLDS; where BLAS cannot be pinned to

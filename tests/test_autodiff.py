@@ -641,3 +641,68 @@ def test_distinct_graphs_run_concurrently_on_threads():
     npt.assert_array_equal(grads[0], grads[2])
     npt.assert_array_equal(grads[1], grads[3])
     assert not np.array_equal(grads[0], grads[1])
+
+
+# --- no_grad ---------------------------------------------------------------------
+
+
+def _every_op(x, w, b):
+    """One node of each primitive, the fused conv included, over params."""
+    h = ad.conv1d(x, [(w, b, 2)])  # (2, 3, 2)
+    a = ad.relu(ad.add(h, ad.mul(h, h)))
+    m = ad.matmul(ad.transpose(a), a)
+    s = ad.softmax(ad.scale(ad.concat([m, m], axis=-1), 0.5), axis=-1)
+    return [h, a, m, s, ad.mean(ad.log(s), axis=-1), ad.reduce_sum(s)]
+
+
+def test_no_grad_nodes_record_no_graph():
+    rng = np.random.default_rng(40)
+    x = rng.normal(size=(2, 3, 9, 1))
+    w, b = ad.param(rng.normal(size=(3, 1, 2))), ad.param(rng.normal(size=(2,)))
+    with ad.no_grad():
+        nodes = _every_op(x, w, b)
+    reference = _every_op(x, w, b)
+    for node, ref in zip(nodes, reference):
+        assert node.parents == () and node._backward is None and node.kink is None
+        assert not node.needs_grad
+        assert node.value.tobytes() == ref.value.tobytes()
+    assert reference[0].parents == (w, b) and reference[0].kink is not None
+    ad.backward(nodes[-1])
+    assert w.grad is None and b.grad is None
+    assert ad.kink_margin(nodes[-1]) == np.inf
+
+
+def test_no_grad_conv1d_packs_no_bits(monkeypatch):
+    calls = []
+    packbits = np.packbits
+    monkeypatch.setattr(np, "packbits", lambda *a, **k: calls.append(1) or packbits(*a, **k))
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(4, 9, 1))
+    w, b = ad.param(rng.normal(size=(3, 1, 2))), ad.param(rng.normal(size=(2,)))
+    with ad.no_grad():
+        ad.conv1d(x, [(w, b, 1)])
+    assert calls == []
+    # constant weights: nothing backward would reach, but the kink is kept
+    const = ad.conv1d(x, [(ad.constant(w.value), ad.constant(b.value), 1)])
+    assert calls == [] and const.kink is not None
+    ad.conv1d(x, [(w, b, 1)])
+    assert calls
+
+
+def test_no_grad_nests_and_restores_the_outer_state():
+    from concurrent.futures import ThreadPoolExecutor
+
+    assert ad.recording()
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.recording()
+        assert not ad.recording()
+        # the state is per thread: another thread still records graphs
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(ad.recording).result()
+    assert ad.recording()
+    with pytest.raises(KeyError), ad.no_grad():
+        raise KeyError
+    assert ad.recording()
+    x = ad.param(np.ones(3))
+    assert ad.relu(x).parents == (x,)

@@ -116,8 +116,9 @@ def test_segment_rows_are_copies_of_the_signal_windows():
 
 
 def test_build_segments_copies_each_window_once():
-    # 180 windows of 19 x 1024 at 75 % overlap: stacking is the only copy,
-    # and the z-score in place adds no temporary near the size of the set
+    # 180 windows of 19 x 1024 at 75 % overlap: building the set copies no
+    # window, reading x copies each once, and the z-score in place adds no
+    # temporary near the size of the set
     recs = [
         dat.Recording(f"s{i}", "HC", 256.0, np.random.default_rng(i).normal(size=(19, 16128)),
                       [f"c{j}" for j in range(19)])
@@ -126,11 +127,39 @@ def test_build_segments_copies_each_window_once():
     tracemalloc.start()
     try:
         ss = dat.build_segments(recs, 4.0, 0.75)
-        peak = tracemalloc.get_traced_memory()[1]
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        x = ss.x
+        peak = tracemalloc.get_traced_memory()[1] - built
     finally:
         tracemalloc.stop()
-    assert ss.x.shape == (180, 19, 1024) and ss.x.flags.c_contiguous
-    assert peak < 1.25 * ss.x.nbytes, f"peak {peak} B for {ss.x.nbytes} B of segments"
+    assert ss.shape == x.shape == (180, 19, 1024) and x.flags.c_contiguous
+    assert built < 64 * 1024, f"build_segments allocated {built} B"
+    assert peak < 1.25 * x.nbytes, f"peak {peak} B for {x.nbytes} B of segments"
+
+
+@pytest.mark.parametrize("rows", [
+    3, -1, slice(None), slice(2, 9), slice(None, None, -3), [7, 0, 7, 12],
+    np.arange(13) % 3 == 0, [], slice(5, 5), slice(1, 6),
+], ids=["int", "negative_int", "all", "slice", "step", "index_array", "mask",
+        "empty_list", "empty_slice", "block_boundary"])
+def test_segment_rows_are_read_from_the_recordings(monkeypatch, rows):
+    # a block of 2 rows z-scored at a time, so the selections of more than 2
+    # rows cross block boundaries
+    monkeypatch.setattr(dat, "ZSCORE_BLOCK_BYTES", 2 * 8 * 3 * 128)
+    recs = [
+        _recording(10.0, 32.0, subject="a", label="MDD", seed=1),
+        _recording(9.0, 32.0, subject="b", label="HC", seed=2),
+    ]
+    ss = dat.build_segments(recs, 4.0, 0.75)
+    windows = [rec.signal[:, s : s + 128] for rec in recs for s in dat.segment_recording(rec, 4.0, 0.75)]
+    assert len(ss) == len(windows) == 13
+    expected = np.array([ex.zscore(w) for w in windows])[rows]
+    got = ss[rows]
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert got.tobytes() == ss.x[rows].tobytes()
+    assert not any(np.shares_memory(got, rec.signal) for rec in recs)
 
 
 # --- manifest format -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -202,6 +203,82 @@ def test_empty_shards_rejected():
             params, cfg, tr.TrainConfig(), np.zeros((0, 4, 32)), np.zeros(0, dtype=int),
             tr._Sgd(1e-3), np.random.default_rng(0),
         )
+
+
+def _overlapping_set(n_per_class=3, seconds=12.0):
+    recs = dat.synth_generate(n_per_class, seconds, n_channels=4, fs=32.0, seed=21)
+    return dat.build_segments(recs, 2.0, 0.75)
+
+
+def test_evaluate_reads_a_segment_set_batch_by_batch(monkeypatch):
+    # batches of 7 over 6 x 21 windows: several full batches and a short one
+    monkeypatch.setattr(tr, "EVAL_BATCH_SIZE", 7)
+    ss = _overlapping_set()
+    cfg = tiny_config()
+    params = mdl.init_model(cfg, 4)
+    runs = []
+    for x in (ss, ss.x):
+        seen = []
+
+        def on_batch(start, diag, seen=seen):
+            seen.append((start, diag["adj_inst"].tobytes(), [a.tobytes() for a in diag["assign"]]))
+
+        runs.append((tr.evaluate(params, cfg, x, ss.y, on_batch=on_batch), seen))
+    (streamed, streamed_diag), (whole, whole_diag) = runs
+    assert streamed == whole
+    assert [start for start, *_ in streamed_diag] == list(range(0, len(ss), 7))
+    assert streamed_diag == whole_diag
+    assert tr.mean_assignment_entropy(params, cfg, ss) == tr.mean_assignment_entropy(params, cfg, ss.x)
+
+
+def test_evaluate_over_a_segment_set_holds_one_batch():
+    # 16 recordings at 75 % overlap: 912 windows, 7.5 MB when read out whole,
+    # against batches of 256 windows (2.1 MB) and a forward that keeps no graph
+    recs = dat.synth_generate(8, 60.0, n_channels=4, fs=64.0, seed=22)
+    ss = dat.build_segments(recs, 4.0, 0.75)
+    x_bytes = int(np.prod(ss.shape)) * 8
+    cfg = tiny_config()
+    params = mdl.init_model(cfg, 5)
+    tracemalloc.start()
+    try:
+        tr.evaluate(params, cfg, ss, ss.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ss) == 912
+    assert peak < x_bytes, f"evaluate peaked at {peak} B; the set's x is {x_bytes} B"
+
+
+def test_forward_values_record_no_graph(monkeypatch):
+    cfg = tiny_config()
+    params = mdl.init_model(cfg, 6)
+    x = _overlapping_set().x[:5]
+    recorded = []
+    forward = tr.forward_batch
+
+    def spy(*args):
+        recorded.append(ad.recording())
+        return forward(*args)
+
+    monkeypatch.setattr(tr, "forward_batch", spy)
+    probs, diag = tr._forward_values(x, params, cfg)
+    assert recorded == [False] and ad.recording()
+    graph_probs, graph_diag = forward(x, params, cfg)
+    assert probs.tobytes() == graph_probs.value.tobytes()
+    assert diag["adj_inst"].tobytes() == graph_diag["adj_inst"].value.tobytes()
+    assert [a.tobytes() for a in diag["assign"]] == [a.value.tobytes() for a in graph_diag["assign"]]
+
+
+def test_folds_read_only_their_own_rows(monkeypatch):
+    ss = _toy_dataset(seed=10, n_per_class=6, seconds=12.0)
+
+    def whole_set(_self):
+        raise AssertionError("a fold read the whole segment set")
+
+    monkeypatch.setattr(dat.SegmentSet, "x", property(whole_set))
+    tcfg = tr.TrainConfig(seed=11, max_epochs=1, batch_size=16)
+    report = tr.ten_fold_cv(ss, tiny_config(), tcfg, n_jobs=1)
+    assert report.pooled.tp + report.pooled.fp + report.pooled.fn + report.pooled.tn == len(ss)
 
 
 def test_adam_and_sgd_update_parameters():
