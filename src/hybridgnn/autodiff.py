@@ -292,6 +292,34 @@ def pin_blas() -> None:
         lib.scipy_openblas_set_num_threads64_(1)
 
 
+# glibc mallopt parameters and the values `keep_freed_memory` sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest; setting it ends the dynamic threshold
+TRIM_THRESHOLD_BYTES = 256 << 20
+
+
+def keep_freed_memory() -> bool:
+    """Keep freed blocks in the process for reuse, where glibc's `mallopt` is
+    found; returns whether both settings took.
+
+    By default glibc serves blocks above a dynamic threshold (128 KiB, rising
+    to the largest block freed so far) with their own mmap and trims the top
+    of the heap once more than twice that is free, so each train step's
+    0.2-4 MB conv temporaries and adjacency stacks go back to the kernel and
+    are faulted in again, zero-filled, by the next step. Served from the heap,
+    whose top is trimmed only once 256 MiB of it is free, they are reused
+    instead. Idempotent."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    took = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+    return mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1 and took
+
+
 # threads that run conv1d's chunks; fold workers set 1, as the workers
 # already fill the CPUs between them
 CONV_THREADS = usable_cpus()

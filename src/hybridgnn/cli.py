@@ -19,6 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import (
     DatasetError,
     build_segments,
@@ -157,6 +158,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    if not hasattr(args, "folds_parallel"):
+        # a command without --folds-parallel runs no folds, and its echo
+        # should not depend on the CPU count
+        del cfg["folds_parallel"]
     return cfg
 
 
@@ -435,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    ad.keep_freed_memory()  # before the first train step's temporaries are freed
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -265,12 +266,14 @@ def forward(segment: np.ndarray, params: dict, config: ModelConfig):
 # ---------------------------------------------------------------------------
 # parameter file format (documented in README): little-endian throughout,
 #   magic "HGNP" | u32 version | u64 header length | header JSON | payload
+#   | u32 CRC-32 of every byte before it (version 2 only)
 # header JSON = {"config": ..., "tensors": [{"name", "shape", "offset"}, ...]}
 # payload = concatenated row-major float64 tensor data.
+# Version 1, the same without the CRC, still loads.
 # ---------------------------------------------------------------------------
 
 MAGIC = b"HGNP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ParamsFileError(ValueError):
@@ -301,11 +304,14 @@ def save_params(path: str, params: dict, config: ModelConfig) -> None:
         offset += arr.nbytes
     header = json.dumps({"config": config.to_dict(), "tensors": table}).encode("utf-8")
     blob = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header)) + header
+    crc = zlib.crc32(blob)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
         for chunk in chunks:
             fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
     os.replace(tmp, path)
 
 
@@ -322,8 +328,14 @@ def load_params(path: str):
     pos = len(MAGIC)
     (version,) = struct.unpack_from("<I", data, pos)
     pos += 4
-    if version != FORMAT_VERSION:
-        raise ParamsVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    if version not in (1, FORMAT_VERSION):
+        raise ParamsVersionError(f"{path}: format version {version}, expected 1 or {FORMAT_VERSION}")
+    if version == 2:
+        # any damaged header or payload byte is refused here, including a
+        # valid header value that alters no tensor shape
+        if len(data) < len(MAGIC) + 16 or zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
+            raise ParamsCorruptError(f"{path}: CRC-32 mismatch (damaged or truncated file)")
+        data = data[:-4]
     (header_len,) = struct.unpack_from("<Q", data, pos)
     pos += 8
     if len(data) < pos + header_len:

@@ -614,6 +614,42 @@ def test_conv1d_without_blas_setter_starts_no_pool(monkeypatch):
     assert ad._POOLS == {}
 
 
+class _FakeLibc:
+    """A C library whose `mallopt` records its calls and reports success."""
+
+    def __init__(self, calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def test_keep_freed_memory_sets_both_thresholds_the_same_each_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda _name: _FakeLibc(calls))
+    assert ad.keep_freed_memory() and ad.keep_freed_memory()
+    policy = [(ad.M_MMAP_THRESHOLD, 32 << 20), (ad.M_TRIM_THRESHOLD, 256 << 20)]
+    assert calls == policy + policy
+    monkeypatch.undo()
+    if hasattr(ad.ctypes.CDLL(None), "mallopt"):  # glibc takes both, every time
+        assert ad.keep_freed_memory() and ad.keep_freed_memory()
+
+
+class _NoMallopt:
+    pass
+
+
+def _no_libc(_name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda _name: _NoMallopt(), _no_libc], ids=["no-mallopt", "oserror"])
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ad.ctypes, "CDLL", cdll)
+    assert ad.keep_freed_memory() is False
+
+
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(7)
     x = ad.param(rng.normal(size=(6, 6)))

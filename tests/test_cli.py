@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from hybridgnn import autodiff as ad
 from hybridgnn import data as dat
 from hybridgnn.cli import DEFAULTS, _export_graphs, main, resolve_config, build_parser
 from hybridgnn.training import FOLD_WORKERS
@@ -333,6 +334,53 @@ def test_synth_command_writes_loadable_manifest(tmp_path):
     recs = dat.load_dataset(os.path.join(out, "manifest.json"))
     assert len(recs) == 6
     assert {r.label for r in recs} == {"HC", "MDD"}
+
+
+def test_main_applies_the_allocator_policy_first(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(ad, "keep_freed_memory", lambda: calls.append("policy"))
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])  # before the arguments are parsed
+    assert calls == ["policy"]
+    assert run("train", "--out", str(tmp_path / "x"), "--batch-size", "0") == 2
+    assert calls == ["policy", "policy"]
+
+
+COMMAND_ARGV = {
+    "train": [], "cv": [], "ablation": [], "sweep": ["--param", "lambda"],
+    "eval": ["--params", V1_FIXTURE], "synth": [],
+}
+
+
+def test_folds_parallel_is_echoed_only_by_the_fold_commands(tmp_path):
+    # train, eval and synth run no folds, so their echo leaves out the
+    # CPU-count default; a config file that holds the key is still accepted
+    cfg_path = str(tmp_path / "cfg.json")
+    json.dump({"folds_parallel": 1}, open(cfg_path, "w"))
+    for command, extra in COMMAND_ARGV.items():
+        for config in ([], ["--config", cfg_path]):
+            args = build_parser().parse_args([command, "--out", "unused", *extra, *config])
+            cfg = resolve_config(args)
+            if command in ("cv", "ablation", "sweep"):
+                assert cfg["folds_parallel"] == (1 if config else FOLD_WORKERS)
+            else:
+                assert "folds_parallel" not in cfg, command
+    train_out, eval_out = str(tmp_path / "tr"), str(tmp_path / "ev")
+    assert run("train", "--out", train_out, "--config", cfg_path, *TINY_FLAGS) == 0
+    assert run("eval", "--out", eval_out, "--config", cfg_path, *TINY_FLAGS,
+               "--params", os.path.join(train_out, "params.bin")) == 0
+    for out in (train_out, eval_out):
+        assert "folds_parallel" not in json.load(open(os.path.join(out, "config.json")))
+
+
+def test_eval_refuses_params_whose_header_was_edited(tmp_path, capsys):
+    train_out = str(tmp_path / "tr")
+    assert run("train", "--out", train_out, "--seed", "8", *TINY_FLAGS) == 0
+    path = os.path.join(train_out, "params.bin")
+    _rewrite_header(path, lambda h: h["config"].update(inst_softmax_axis="row"), seal=False)
+    assert run("eval", "--out", str(tmp_path / "ev"), "--params", path, *TINY_FLAGS) == 2
+    assert "CRC-32 mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

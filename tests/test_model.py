@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -235,14 +236,30 @@ def test_wrong_magic_and_version_are_distinct_errors(tmp_path):
         mdl.load_params(path)
 
 
-def _rewrite_header(path, edit):
-    """Apply `edit` to the JSON header of a parameter file, payload untouched."""
+def _seal(blob):
+    """A version-2 file body with its CRC-32 appended; a version-1 one as it is."""
+    (version,) = struct.unpack_from("<I", blob, 4)
+    return blob + struct.pack("<I", zlib.crc32(blob)) if version == 2 else blob
+
+
+def _unsealed(blob):
+    (version,) = struct.unpack_from("<I", blob, 4)
+    return blob[:-4] if version == 2 else blob
+
+
+def _rewrite_header(path, edit, seal=True):
+    """Apply `edit` to the JSON header of a parameter file, payload untouched;
+    a version-2 file gets the CRC-32 of its new bytes unless `seal` is False,
+    so the checks behind the CRC see the edit."""
     blob = open(path, "rb").read()
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
-    header = json.loads(blob[16 : 16 + hlen].decode())
+    body = _unsealed(blob)
+    crc = blob[len(body) :]
+    (hlen,) = struct.unpack_from("<Q", body, 8)
+    header = json.loads(body[16 : 16 + hlen].decode())
     edit(header)
     new_header = json.dumps(header).encode()
-    open(path, "wb").write(blob[:8] + struct.pack("<Q", len(new_header)) + new_header + blob[16 + hlen :])
+    body = body[:8] + struct.pack("<Q", len(new_header)) + new_header + body[16 + hlen :]
+    open(path, "wb").write(_seal(body) if seal else body + crc)
 
 
 def test_tampered_shape_table_detected(tmp_path):
@@ -258,8 +275,14 @@ def test_trailing_bytes_are_corrupt(tmp_path):
     cfg = tiny_config()
     path = str(tmp_path / "params.bin")
     mdl.save_params(path, mdl.init_model(cfg, 16), cfg)
+    blob = open(path, "rb").read()
     with open(path, "ab") as fh:
         fh.write(bytes(24))
+    with pytest.raises(mdl.ParamsCorruptError, match="CRC-32"):
+        mdl.load_params(path)
+    # bytes between the payload and a CRC-32 that covers them
+    with open(path, "wb") as fh:
+        fh.write(_seal(_unsealed(blob) + bytes(24)))
     with pytest.raises(mdl.ParamsCorruptError, match="trailing"):
         mdl.load_params(path)
 
@@ -314,10 +337,25 @@ def test_v1_fixture_loads_bit_exact():
         assert loaded[name].value.tobytes() == node.value.tobytes()
 
 
-def test_v1_fixture_bytes_reproduced_by_save(tmp_path):
+def test_v1_fixture_resaved_as_v2_keeps_header_and_payload(tmp_path):
+    # version 2 is the version-1 bytes, version field 2, and a CRC-32 of them
     path = str(tmp_path / "params.bin")
     mdl.save_params(path, mdl.init_model(V1_CONFIG, V1_SEED), V1_CONFIG)
-    assert open(path, "rb").read() == open(V1_FIXTURE, "rb").read()
+    v1 = open(V1_FIXTURE, "rb").read()
+    assert open(path, "rb").read() == _seal(v1[:4] + struct.pack("<I", 2) + v1[8:])
+
+
+def test_header_edit_that_alters_no_shape_is_refused(tmp_path):
+    # a valid value, checked only by the CRC-32: the softmax axis shapes nothing
+    cfg = tiny_config("e")
+    path = str(tmp_path / "params.bin")
+    mdl.save_params(path, mdl.init_model(cfg, 21), cfg)
+    _rewrite_header(path, lambda h: h["config"].update(inst_softmax_axis="row"), seal=False)
+    with pytest.raises(mdl.ParamsCorruptError, match="CRC-32"):
+        mdl.load_params(path)
+    _rewrite_header(path, lambda h: None)  # the same bytes, sealed again
+    _params, loaded_cfg = mdl.load_params(path)
+    assert loaded_cfg.inst_softmax_axis == "row"
 
 
 def test_config_validation_bounds():

@@ -126,21 +126,33 @@ CORRUPT_CONFIG = mdl.ModelConfig(
     extractor_layers=((3, 2, 1, 2), (2, 1, 2, 2)),
 )
 CORRUPT_BLOB = _saved(CORRUPT_CONFIG, 0)
+# the same file in format version 1: version field 1, no CRC-32
+CORRUPT_BLOBS = {2: CORRUPT_BLOB, 1: CORRUPT_BLOB[:4] + (1).to_bytes(4, "little") + CORRUPT_BLOB[8:-4]}
 CORRUPT_SHAPES = mdl.param_shapes(CORRUPT_CONFIG)
 
 
 @REPLAY
-@given(position=st.integers(0, len(CORRUPT_BLOB) - 1), value=st.integers(0, 255))
-@example(position=4, value=2)  # the version field
-@example(position=15, value=255)  # the top byte of the header length
-def test_params_file_with_one_changed_byte_loads_intact_or_is_refused(position, value):
-    # a ParamsFileError is the only exception allowed to leave load_params
-    blob = bytearray(CORRUPT_BLOB)
+@given(
+    version=st.sampled_from((1, 2)),
+    position=st.integers(0, len(CORRUPT_BLOB) - 1),
+    value=st.integers(0, 255),
+)
+@example(version=2, position=4, value=1)  # read as version 1, the CRC-32 trails the payload
+@example(version=1, position=4, value=2)  # read as version 2, the payload's end is no CRC-32
+@example(version=2, position=15, value=255)  # the top byte of the header length
+@example(version=2, position=len(CORRUPT_BLOB) - 1, value=0)  # the CRC-32 itself
+def test_params_file_with_one_changed_byte_loads_intact_or_is_refused(version, position, value):
+    # a ParamsFileError is the only exception allowed to leave load_params;
+    # a version-2 file refuses every changed byte, as a CRC-32 detects them all
+    blob = bytearray(CORRUPT_BLOBS[version])
+    position %= len(blob)
+    changed = blob[position] != value
     blob[position] = value
     try:
         loaded, _config = _load(bytes(blob))
     except mdl.ParamsFileError:
         return
+    assert not (version == 2 and changed), f"byte {position} changed to {value} and the file loaded"
     assert [(name, node.value.shape) for name, node in loaded.items()] == list(CORRUPT_SHAPES.items())
 
 

@@ -1,7 +1,11 @@
 """Objective, metrics, optimizers, and cross-validation behavior."""
 
+import ctypes
+import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -390,6 +394,55 @@ def test_fold_worker_runs_the_conv_on_one_thread(monkeypatch):
         max_workers=1, initializer=tr._worker_init, initargs=(None, None, None)
     ) as pool:
         assert pool.submit(_conv_in_worker, None).result() == (1, [])
+
+
+def test_fold_worker_applies_the_allocator_policy(monkeypatch):
+    # a spawned worker inherits nothing of the parent's allocator settings
+    calls = []
+    monkeypatch.setattr(ad, "keep_freed_memory", lambda: calls.append("policy"))
+    monkeypatch.setattr(ad, "pin_blas", lambda: None)
+    monkeypatch.setattr(ad, "CONV_THREADS", ad.CONV_THREADS)
+    monkeypatch.setattr(tr, "_WORKER_STATE", {})
+    tr._worker_init(None, None, None)
+    assert calls == ["policy"]
+
+
+# a train step as a cv_hd128 fold worker runs it: B=32 windows of 128
+# electrodes x 128 samples, variant e, 8 regions, conv and BLAS on one thread
+WORKER_STEP_FAULTS = """
+import json, resource
+import numpy as np
+from hybridgnn import autodiff as ad
+from hybridgnn.model import ModelConfig, init_model
+from hybridgnn.training import TrainConfig, _make_optimizer, train_epoch
+ad.keep_freed_memory()
+ad.pin_blas()
+ad.CONV_THREADS = 1
+mcfg, tcfg = ModelConfig(n_channels=128, variant="e", n_regions=8), TrainConfig(batch_size=32)
+rng = np.random.default_rng(0)
+x, y = rng.normal(size=(32, 128, 128)), rng.integers(0, 2, 32)
+params, optimizer = init_model(mcfg, 0), _make_optimizer(tcfg)
+faults = []
+for _ in range(8):  # one epoch of one batch is one step
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_epoch(params, mcfg, tcfg, x, y, optimizer, rng)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+def test_worker_step_reuses_freed_memory_after_warm_up():
+    # glibc's default policy unmaps or trims each step's freed 0.2-4 MB
+    # blocks, and the next step faults them in again: 3800-6600 minor faults
+    # in each of steps 4-8; kept in the process, they fault in only during
+    # the warm-up steps
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", WORKER_STEP_FAULTS], capture_output=True,
+                         text=True, env=env, timeout=300, check=True)
+    faults = json.loads(run.stdout)
+    assert max(faults[3:]) < 75, faults
 
 
 def test_default_fold_workers(monkeypatch):
