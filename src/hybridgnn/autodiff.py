@@ -364,23 +364,17 @@ class _ConvLayer:
         w_pad[:k] = w
         self.w_groups = [np.ascontiguousarray(g.T) for g in w_pad.reshape(groups, stride * c_in, c_out)]
 
-    def buffer(self, n: int) -> np.ndarray:
-        """An im2col buffer for blocks of up to n signals: (n·T_out, k·C_in + 1)
-        rows whose last column is 1."""
-        buf = np.empty((n * self.t_out, self.k * self.c_in + 1))
-        buf[:, -1] = 1.0
-        return buf
-
-    def im2col(self, a: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    def im2col(self, a: np.ndarray) -> np.ndarray:
         """(n·T_out, k·C_in + 1) rows of a contiguous block a (n, T_in, C_in),
-        written into the leading rows of `buf` (see `buffer`)."""
+        each ending in a 1."""
         st = a.strides
         # one window of k taps x C_in channels is contiguous in a signal
         windows = as_strided(
             a, shape=(len(a), self.t_out, self.k * self.c_in), strides=(st[0], st[1] * self.stride, st[2])
         )
-        cols = buf[: len(a) * self.t_out]
+        cols = np.empty((len(a) * self.t_out, self.k * self.c_in + 1))
         cols.reshape(len(a), self.t_out, -1)[..., :-1] = windows
+        cols[:, -1] = 1.0
         return cols
 
     def apply(self, cols: np.ndarray, n: int, margins=None) -> np.ndarray:
@@ -423,12 +417,13 @@ def conv1d(x: np.ndarray, layers) -> Node:
     output and, where backward can reach the node, the last layer's relu mask
     as packed bits; backward recomputes the earlier layers block by block.
 
-    Chunks of CONV_CHUNK consecutive blocks run on CONV_THREADS threads, each
-    chunk with its own im2col buffers, reused across its blocks. Forward
-    writes each chunk's rows of the output; backward sums each chunk's weight
-    and bias gradients over its blocks in block order, then adds the chunks'
-    sums in chunk order. The layout depends only on the shapes, so every
-    result is the same bytes at any thread count.
+    Chunks of CONV_CHUNK consecutive blocks run on CONV_THREADS threads. Each
+    block allocates its own im2col rows; once freed, the heap hands them to
+    the next block (see `keep_freed_memory`). Forward writes each chunk's rows
+    of the output; backward sums each chunk's weight and bias gradients over
+    its blocks in block order, then adds the chunks' sums in chunk order. The
+    layout depends only on the shapes, so every result is the same bytes at
+    any thread count.
     """
     xv = np.ascontiguousarray(x, dtype=np.float64)
     if xv.ndim < 2:
@@ -453,10 +448,6 @@ def conv1d(x: np.ndarray, layers) -> Node:
     blocks = [slice(i, i + per_block) for i in range(0, len(signals), per_block)]
     chunks = [blocks[i : i + CONV_CHUNK] for i in range(0, len(blocks), CONV_CHUNK)]
 
-    def buffers():
-        """One im2col buffer per layer, for one thread's blocks."""
-        return [lay.buffer(min(per_block, len(signals))) for lay in convs]
-
     out = np.empty((len(signals), c))
     # relu mask of the last layer, whose output is averaged away, one row of
     # bits per signal: backward reads it instead of recomputing that GEMM.
@@ -464,17 +455,16 @@ def conv1d(x: np.ndarray, layers) -> Node:
     differentiable = recording() and any(p.needs_grad for p in parents)
     bits = np.empty((len(signals), -(-t * c // 8)), np.uint8) if differentiable else None
 
-    def run(a, bufs, margins=None):
+    def run(a, margins=None):
         """Block a (n, T, C_in) through every layer; returns the last output."""
         n = len(a)
-        for lay, buf in zip(convs, bufs):
-            a = lay.apply(lay.im2col(a, buf), n, margins)
+        for lay in convs:
+            a = lay.apply(lay.im2col(a), n, margins)
         return a
 
     def forward_chunk(chunk):
-        bufs = buffers()
         for sl in chunk:
-            a = run(signals[sl], bufs)
+            a = run(signals[sl])
             if differentiable:
                 bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
             # the bits of a.mean(axis=1) where c > 1, in about half its time
@@ -483,25 +473,25 @@ def conv1d(x: np.ndarray, layers) -> Node:
     for _ in _map_chunks(forward_chunk, chunks):
         pass
 
-    def recompute(a, bufs):
+    def recompute(a):
         """Every layer's im2col rows of block a, and where the output of each
         layer but the last is positive."""
         n = len(a)
         cols, positive = [], []
-        for lay, buf in zip(convs[:-1], bufs):
-            cols.append(lay.im2col(a, buf))
+        for lay in convs[:-1]:
+            cols.append(lay.im2col(a))
             a = lay.apply(cols[-1], n)
             positive.append(a > 0.0)
-        return cols + [last.im2col(a, bufs[-1])], positive
+        return cols + [last.im2col(a)], positive
 
     def bwd(g):
         g = g.reshape(out.shape)
 
         # one block per call, so its temporaries are freed before the next
-        def add_block_grads(sl, bufs, gws):
+        def add_block_grads(sl, gws):
             block = signals[sl]
             n = len(block)
-            cols, positive = recompute(block, bufs)
+            cols, positive = recompute(block)
             # the unpacked 0/1 bytes as bools: a float times a bool casts faster
             mask = np.unpackbits(bits[sl], axis=-1, count=t * c).reshape(n, t, c).view(bool)
             gz = ((g[sl] / t)[:, None, :] * mask).reshape(-1, c)
@@ -516,10 +506,9 @@ def conv1d(x: np.ndarray, layers) -> Node:
                     gz = ga.reshape(-1, convs[i - 1].c_out)
 
         def chunk_grads(chunk):
-            bufs = buffers()
             gws = [np.zeros_like(lay.w_flat) for lay in convs]
             for sl in chunk:
-                add_block_grads(sl, bufs, gws)
+                add_block_grads(sl, gws)
             return gws
 
         parts = _map_chunks(chunk_grads, chunks)
@@ -534,9 +523,8 @@ def conv1d(x: np.ndarray, layers) -> Node:
 
     def kink():
         margins = []
-        bufs = buffers()
         for sl in blocks:
-            run(signals[sl], bufs, margins)
+            run(signals[sl], margins)
         return min(margins)
 
     return Node(out.reshape(xv.shape[:-2] + (c,)), "conv1d", tuple(parents), bwd, kink=kink)

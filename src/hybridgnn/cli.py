@@ -17,8 +17,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import autodiff as ad
 from .data import (
     DatasetError,
@@ -355,10 +353,8 @@ def cmd_eval(args) -> int:
         graph_dir = os.path.join(args.out, "graphs")
         os.makedirs(graph_dir, exist_ok=True)
         if "common_adj.raw" in params:
-            np.savetxt(
-                os.path.join(graph_dir, "common_adj.txt"),
-                common_adjacency(params["common_adj.raw"]).value, fmt="%.18e",
-            )
+            common = common_adjacency(params["common_adj.raw"]).value
+            _write_matrices([os.path.join(graph_dir, "common_adj.txt")], common[None])
         export = functools.partial(_export_graphs, graph_dir)
     # the export is written from the same batched pass that gives the metrics;
     # evaluate reads the windows from segs one batch at a time
@@ -376,14 +372,20 @@ def _export_graphs(graph_dir: str, start: int, diag: dict) -> None:
     stacks = [] if diag["adj_inst"] is None else [("adj_inst", diag["adj_inst"])]
     stacks += [(f"assign_{j}", assign) for j, assign in enumerate(diag["assign"])]
     for name, stack in stacks:
-        rows, cols = stack.shape[1:]
-        # one format of the whole file, with the bytes of np.savetxt's
-        # row-by-row "%.18e" output; Python floats format faster than numpy's
-        fmt = "\n".join([" ".join(["%.18e"] * cols)] * rows) + "\n"
-        for offset, values in enumerate(stack.reshape(len(stack), -1).tolist()):
-            path = os.path.join(graph_dir, f"sample_{start + offset:05d}_{name}.txt")
-            with open(path, "w") as fh:
-                fh.write(fmt % tuple(values))
+        paths = [os.path.join(graph_dir, f"sample_{start + i:05d}_{name}.txt") for i in range(len(stack))]
+        _write_matrices(paths, stack)
+
+
+def _write_matrices(paths, stack) -> None:
+    """Write each matrix of `stack` (K, rows, cols) as text to its path of the
+    K `paths`, with the bytes of np.savetxt(path, matrix, fmt="%.18e")."""
+    rows, cols = stack.shape[1:]
+    # one format of the whole file, with the bytes of np.savetxt's row-by-row
+    # output; Python floats format faster than numpy's
+    fmt = "\n".join([" ".join(["%.18e"] * cols)] * rows) + "\n"
+    for path, values in zip(paths, stack.reshape(len(stack), -1).tolist()):
+        with open(path, "w") as fh:
+            fh.write(fmt % tuple(values))
 
 
 def cmd_synth(args) -> int:

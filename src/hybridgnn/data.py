@@ -104,11 +104,6 @@ class Recording:
             )
 
 
-# bytes of segments z-scored at a time: the z-score's temporaries stay this
-# small, whatever the number of rows read
-ZSCORE_BLOCK_BYTES = 1 << 20
-
-
 @dataclass
 class SegmentSet:
     """Segments ready for the model: M windows of N electrodes x T_s samples,
@@ -117,7 +112,8 @@ class SegmentSet:
     The set holds the recordings' signals and each window's (recording,
     start) offset, not the windows. `segs[rows]`, for an int, a slice, an
     index array or a boolean mask, returns a new float64 array of those
-    windows, each z-scored per electrode; the model takes it as it is.
+    windows, each z-scored per electrode as it is copied, so the z-score's
+    temporaries are one window's; the model takes the array as it is.
     `segs.x` is `segs[:]`, read afresh on every access."""
 
     signals: tuple  # each recording's (N, samples) signal, not copied
@@ -147,9 +143,7 @@ class SegmentSet:
         for row, i in zip(flat, index.ravel()):
             start = self.starts[i]
             row[...] = self.signals[self.recording[i]][:, start : start + window]
-        block = max(1, ZSCORE_BLOCK_BYTES // (8 * n * window))
-        for i in range(0, len(flat), block):
-            zscore_in_place(flat[i : i + block])
+            zscore_in_place(row)
         return out
 
 

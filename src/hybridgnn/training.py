@@ -19,7 +19,7 @@ from .data import SegmentSet
 from .model import ModelConfig, forward_batch, init_model
 from .rng import subseed, substream
 
-EVAL_BATCH_SIZE = 256  # segments per forward pass of evaluate, predict and mean_assignment_entropy
+EVAL_BATCH_SIZE = 256  # segments per forward pass of predict
 N_FOLDS = 10
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -223,7 +223,7 @@ def predict(params: dict, mcfg: ModelConfig, x, on_batch=None):
     """Argmax class per segment of x, an array or a `SegmentSet`, in batches
     of EVAL_BATCH_SIZE. `on_batch(start, diag)`, if given, receives each
     batch's first segment index and its diagnostics from `_forward_values`."""
-    preds = []
+    preds = [np.empty(0, np.intp)]  # an empty x predicts nothing
     for start in range(0, len(x), EVAL_BATCH_SIZE):
         probs, diag = _forward_values(x[start : start + EVAL_BATCH_SIZE], params, mcfg)
         preds.append(np.argmax(probs, axis=-1))
@@ -238,12 +238,15 @@ def mean_assignment_entropy(params: dict, mcfg: ModelConfig, x) -> float:
     variants without pooling."""
     total = 0.0
     count = 0
-    for start in range(0, len(x), EVAL_BATCH_SIZE):
-        _probs, diag = _forward_values(x[start : start + EVAL_BATCH_SIZE], params, mcfg)
+
+    def add(_start, diag):
+        nonlocal total, count
         for rv in diag["assign"]:
             ent = -(rv * np.log(np.maximum(rv, ad.LOG_FLOOR))).sum(axis=-1)
             total += float(ent.sum())
             count += ent.size
+
+    predict(params, mcfg, x, on_batch=add)
     return total / count if count else float("nan")
 
 

@@ -4,6 +4,7 @@ against central finite differences."""
 import os
 import subprocess
 import sys
+import threading
 import zlib
 
 import numpy as np
@@ -564,10 +565,10 @@ def test_folded_bias_gradient_matches_summed_reference(monkeypatch):
         npt.assert_allclose(fused, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
 
 
-def test_folded_bias_gradient_check_over_reused_buffers(monkeypatch):
-    # blocks of 2 signals in chunks of 2 blocks: 5 signals make one chunk
-    # that reuses its im2col buffers, ones columns included, and one ragged
-    # chunk whose single signal fills half of its buffers
+def test_folded_bias_gradient_check_over_chunks_of_blocks(monkeypatch):
+    # blocks of 2 signals in chunks of 2 blocks: 5 signals make one chunk of
+    # two blocks and one ragged chunk whose single block holds one signal;
+    # every block's im2col rows end in their ones column
     monkeypatch.setattr(ad, "CONV_CHUNK", 2)
     # (largest layer's bytes a signal, layers): one layer 8 * (3 + 4) * 8
     # bytes; two layers, the first the largest at 8 * (4 + 3) * 7
@@ -577,6 +578,49 @@ def test_folded_bias_gradient_check_over_reused_buffers(monkeypatch):
         assert all(np.abs(b).min() > 0.0 for b in arrays[1::2])
         err = ad.gradient_check(f, arrays, eps=1e-5)
         assert err < 1e-5, f"{len(layers)}-layer stack: rel err {err}"
+
+
+def _fill_and_free_on_conv_threads(shapes):
+    """Allocate NaN-filled arrays of `shapes` and free them, on the calling
+    thread and on every thread of conv1d's pool, so that each thread's heap
+    holds stale blocks of those sizes."""
+
+    def fill_and_free(barrier):
+        stale = [np.full(shape, np.nan) for shape in shapes for _ in range(8)]
+        barrier.wait(timeout=60)  # holds each pool thread to one call
+        del stale
+
+    fill_and_free(threading.Barrier(1))
+    pool = ad._POOLS.get(ad.CONV_THREADS)
+    if pool is not None:
+        barrier = threading.Barrier(ad.CONV_THREADS)
+        list(pool.map(fill_and_free, [barrier] * ad.CONV_THREADS))
+
+
+def test_conv1d_writes_every_entry_of_its_im2col_rows(monkeypatch):
+    # each block allocates its im2col rows uninitialized, and the heap, which
+    # keeps freed blocks, hands back NaN-filled blocks of exactly those sizes
+    # freed just before on the same thread. Output and gradients stay finite
+    # and the same bytes, so every entry is written, the ones column included
+    ad.keep_freed_memory()
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(7, 96, 1))
+    arrays = [rng.normal(size=(7, 1, 16)) / 2, rng.normal(size=16),
+              rng.normal(size=(5, 16, 32)) / 9, rng.normal(size=32)]
+    # layer 1 is the largest (8 * (5*16 + 32) * 10 bytes a signal): blocks
+    # of 3, 3 and 1 signals, in chunks of 2 blocks and 1
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 3 * 8 * (5 * 16 + 32) * 10)
+    monkeypatch.setattr(ad, "CONV_CHUNK", 2)
+    # (n·T_out, k·C_in + 1) rows of each layer, for blocks of 3 and of 1
+    shapes = [(n * t_out, cols) for n in (3, 1) for t_out, cols in ((23, 7 + 1), (10, 5 * 16 + 1))]
+    for threads in (1, 2):
+        monkeypatch.setattr(ad, "CONV_THREADS", threads)
+        clean = _conv_stack_results(x, arrays, (4, 2))
+        _fill_and_free_on_conv_threads(shapes)
+        stale = _conv_stack_results(x, arrays, (4, 2))
+        for want, got in zip(clean, stale):
+            assert np.isfinite(got).all()
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(ad.openblas() is None, reason="numpy's bundled OpenBLAS not found")

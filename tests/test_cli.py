@@ -9,6 +9,8 @@ import pytest
 from hybridgnn import autodiff as ad
 from hybridgnn import data as dat
 from hybridgnn.cli import DEFAULTS, _export_graphs, main, resolve_config, build_parser
+from hybridgnn.graphs import common_adjacency
+from hybridgnn.model import load_params
 from hybridgnn.training import FOLD_WORKERS
 
 from test_model import _rewrite_header, unchain_extractor
@@ -39,8 +41,6 @@ def test_train_is_deterministic(tmp_path):
 def test_train_variant_a_has_no_individualized_groups(tmp_path):
     out = str(tmp_path / "a")
     assert run("train", "--out", out, "--variant", "a", *TINY_FLAGS) == 0
-    from hybridgnn.model import load_params
-
     params, cfg = load_params(os.path.join(out, "params.bin"))
     names = list(params)
     assert cfg.variant == "a"
@@ -304,6 +304,14 @@ def test_graph_export_bytes_match_row_by_row_savetxt(tmp_path):
             path = tmp_path / f"sample_{7 + offset:05d}_{name}.txt"
             np.savetxt(tmp_path / "reference.txt", matrix, fmt="%.18e")
             assert path.read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    # eval writes the common adjacency with the same writer
+    fixture = os.path.join(os.path.dirname(__file__), "data", "params_v1_tiny_e.bin")
+    eval_out = tmp_path / "ev"
+    assert run("eval", "--out", str(eval_out), "--params", fixture, "--export-graphs", *TINY_FLAGS) == 0
+    params, _cfg = load_params(fixture)
+    np.savetxt(tmp_path / "reference.txt", common_adjacency(params["common_adj.raw"]).value, fmt="%.18e")
+    common = eval_out / "graphs" / "common_adj.txt"
+    assert common.read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
 
 def test_eval_refuses_params_with_trailing_bytes(tmp_path, capsys):

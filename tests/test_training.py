@@ -235,6 +235,14 @@ def test_evaluate_reads_a_segment_set_batch_by_batch(monkeypatch):
     assert tr.mean_assignment_entropy(params, cfg, ss) == tr.mean_assignment_entropy(params, cfg, ss.x)
 
 
+def test_no_segments_give_no_predictions_and_no_entropy():
+    cfg = tiny_config()
+    params = mdl.init_model(cfg, 4)
+    empty = _overlapping_set()[[]]
+    assert tr.predict(params, cfg, empty).shape == (0,)
+    assert np.isnan(tr.mean_assignment_entropy(params, cfg, empty))
+
+
 def test_evaluate_over_a_segment_set_holds_one_batch():
     # 16 recordings at 75 % overlap: 912 windows, 7.5 MB when read out whole,
     # against batches of 256 windows (2.1 MB) and a forward that keeps no graph
