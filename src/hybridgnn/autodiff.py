@@ -85,10 +85,6 @@ class Node:
             needs_grad = any(p.needs_grad for p in parents)
         self.needs_grad = needs_grad
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
@@ -269,8 +265,6 @@ def openblas():
         if hasattr(lib, "scipy_openblas_set_num_threads64_"):
             lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
             lib.scipy_openblas_set_num_threads64_.restype = None
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
             return lib
     return None
 
@@ -377,12 +371,10 @@ class _ConvLayer:
         cols[:, -1] = 1.0
         return cols
 
-    def apply(self, cols: np.ndarray, n: int, margins=None) -> np.ndarray:
+    def apply(self, cols: np.ndarray, n: int) -> np.ndarray:
         """A block's output (n, T_out, C_out), relu applied, from its im2col
-        rows; `margins`, if given, receives the smallest |pre-activation|."""
+        rows."""
         z = cols @ self.w_flat
-        if margins is not None:
-            margins.append(float(np.abs(z).min()))
         np.maximum(z, 0.0, out=z)
         return z.reshape(n, self.t_out, self.c_out)
 
@@ -455,18 +447,14 @@ def conv1d(x: np.ndarray, layers) -> Node:
     differentiable = recording() and any(p.needs_grad for p in parents)
     bits = np.empty((len(signals), -(-t * c // 8)), np.uint8) if differentiable else None
 
-    def run(a, margins=None):
-        """Block a (n, T, C_in) through every layer; returns the last output."""
-        n = len(a)
-        for lay in convs:
-            a = lay.apply(lay.im2col(a), n, margins)
-        return a
-
     def forward_chunk(chunk):
         for sl in chunk:
-            a = run(signals[sl])
+            a = signals[sl]
+            n = len(a)
+            for lay in convs:
+                a = lay.apply(lay.im2col(a), n)
             if differentiable:
-                bits[sl] = np.packbits(a.reshape(len(a), -1) > 0.0, axis=-1)
+                bits[sl] = np.packbits(a.reshape(n, -1) > 0.0, axis=-1)
             # the bits of a.mean(axis=1) where c > 1, in about half its time
             out[sl] = np.einsum("ntc->nc", a) / t
 
@@ -522,10 +510,12 @@ def conv1d(x: np.ndarray, layers) -> Node:
         return tuple(grads)
 
     def kink():
-        margins = []
-        for sl in blocks:
-            run(signals[sl], margins)
-        return min(margins)
+        # each layer's pre-activation, from the rows backward would rebuild
+        return min(
+            float(np.abs(rows @ lay.w_flat).min())
+            for sl in blocks
+            for lay, rows in zip(convs, recompute(signals[sl])[0])
+        )
 
     return Node(out.reshape(xv.shape[:-2] + (c,)), "conv1d", tuple(parents), bwd, kink=kink)
 

@@ -403,28 +403,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual-branch graph neural network for EEG depression detection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flag of the commands that cross-validate
+    folds = argparse.ArgumentParser(add_help=False)
+    folds.add_argument("--folds-parallel", type=int, dest="folds_parallel",
+                       help="run folds in this many worker processes; 1 runs them "
+                            f"serially (default here: {FOLD_WORKERS})")
 
     p = sub.add_parser("train", help="train one model on the full dataset")
     _add_common_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("cv", help="subject-exclusive ten-fold cross-validation")
+    p = sub.add_parser("cv", parents=[folds], help="subject-exclusive ten-fold cross-validation")
     _add_common_flags(p)
-    p.add_argument("--folds-parallel", type=int, dest="folds_parallel",
-                   help="run folds in this many worker processes; 1 runs them "
-                        f"serially (default here: {FOLD_WORKERS})")
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("ablation", help="cross-validate every architecture variant")
+    p = sub.add_parser("ablation", parents=[folds], help="cross-validate every architecture variant")
     _add_common_flags(p)
-    p.add_argument("--folds-parallel", type=int, dest="folds_parallel")
     p.set_defaults(func=cmd_ablation)
 
-    p = sub.add_parser("sweep", help="cross-validate over a hyperparameter grid")
+    p = sub.add_parser("sweep", parents=[folds], help="cross-validate over a hyperparameter grid")
     _add_common_flags(p)
     p.add_argument("--param", choices=sorted(SWEEP_GRIDS), required=True)
     p.add_argument("--values", help="comma-separated grid (default: built-in grid)")
-    p.add_argument("--folds-parallel", type=int, dest="folds_parallel")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")

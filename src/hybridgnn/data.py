@@ -147,9 +147,16 @@ class SegmentSet:
         return out
 
 
+def _decimal(x: float) -> Fraction:
+    """The shortest decimal that reads back as float `x`, exactly: 0.1 is 1/10,
+    not the binary value nearest to it."""
+    return Fraction(str(float(x)))
+
+
 def _window_samples(window_s: float, sampling_rate: float) -> int:
-    """Samples in a window of `window_s` seconds; refuses a fractional count."""
-    window = Fraction(window_s) * Fraction(sampling_rate)
+    """Samples in a window of `window_s` seconds, both taken as the decimals
+    they print as; refuses a fractional count."""
+    window = _decimal(window_s) * _decimal(sampling_rate)
     if window.denominator != 1:
         raise DatasetError(
             f"window of {window_s}s at {sampling_rate}Hz is not a whole number of samples"
@@ -161,8 +168,9 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float) -> l
     """Start offsets, in samples, of a recording's fixed windows.
 
     Stride is window_s * (1 - overlap_frac) seconds; windows start at the
-    floor of 0, stride, 2*stride, ... (exact in samples) as long as a full
-    window fits. Returns [] when the recording is shorter than one window.
+    floor of 0, stride, 2*stride, ... (exact in samples, each float taken as
+    the decimal it prints as) as long as a full window fits. Returns [] when
+    the recording is shorter than one window.
     Refuses an overlap whose stride is under one sample (WindowStrideError).
     """
     if not (window_s > 0.0 and math.isfinite(window_s)):
@@ -170,7 +178,7 @@ def segment_recording(rec: Recording, window_s: float, overlap_frac: float) -> l
     if not 0.0 <= overlap_frac < 1.0:
         raise DatasetError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
     window = _window_samples(window_s, rec.sampling_rate)
-    stride = window * (1 - Fraction(overlap_frac))  # exact, in samples
+    stride = window * (1 - _decimal(overlap_frac))  # exact, in samples
     if stride < 1:
         raise WindowStrideError(
             f"overlap_frac {overlap_frac} leaves a stride of {float(stride):.3g} samples "

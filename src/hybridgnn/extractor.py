@@ -59,11 +59,6 @@ def zscore_in_place(seg: np.ndarray) -> np.ndarray:
     return seg
 
 
-def zscore(segment: np.ndarray) -> np.ndarray:
-    """`zscore_in_place` of a float64 copy of `segment`."""
-    return zscore_in_place(np.array(segment, dtype=np.float64))
-
-
 def extract_features(segment: np.ndarray, params: ExtractorParams) -> ad.Node:
     """Map (..., N, T_s) z-scored samples to (..., N, F_d) per-electrode features."""
     specs = [layer[0] for layer in params.layers]

@@ -204,7 +204,7 @@ def _head(y_all: ad.Node, params: dict) -> ad.Node:
 
 def forward_batch(segments: np.ndarray, params: dict, config: ModelConfig):
     """Run the model on a (B, N, T_s) stack of segments, z-scored per
-    electrode as reading them from a `data.SegmentSet` does (`extractor.zscore`
+    electrode as reading them from a `data.SegmentSet` does (`extractor.zscore_in_place`
     does it for raw segments); they are not normalized again.
 
     Returns (probs node of shape (B, C), diagnostics dict with graph nodes:

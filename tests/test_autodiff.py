@@ -386,7 +386,7 @@ def test_kink_margin_reports_smallest_preactivation():
     assert ad.kink_margin(root) == np.inf
 
 
-def test_kink_margin_sees_relu_fused_into_conv1d():
+def test_kink_margin_sees_relu_fused_into_conv1d(monkeypatch):
     # the graph's only relu is inside the conv; its margin is the smallest
     # |pre-activation|, not inf
     x = np.array([[1.0], [2.0], [-3.0], [0.5]])
@@ -400,21 +400,45 @@ def test_kink_margin_sees_relu_fused_into_conv1d():
     second = (ad.param(np.ones((1, 1, 1))), ad.param(np.array([5.0])), 1)
     out = ad.conv1d(x, [(ad.param(w), ad.param(b), 1), second])
     npt.assert_allclose(ad.kink_margin(ad.reduce_sum(out)), 0.7)
+    # many blocks: one signal a block, 3 blocks a chunk, and the smallest
+    # |pre-activation| planted in the first layer of the 11th of 12 blocks
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 1)
+    monkeypatch.setattr(ad, "CONV_CHUNK", 3)
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(12, 20, 1))
+    w1, b1, w2, b2 = (rng.normal(size=s) for s in ((3, 1, 2), (2,), (3, 2, 2), (2,)))
+    x[10, 8, 0] += (1e-6 - _naive_conv1d(x, w1, b1, 2)[10, 4, 0]) / w1[0, 0, 0]
+    z1 = _naive_conv1d(x, w1, b1, 2)
+    z2 = _naive_conv1d(np.maximum(z1, 0.0), w2, b2, 1)
+    assert np.unravel_index(np.abs(z1).argmin(), z1.shape)[0] == 10
+    assert np.abs(z1).min() < np.abs(z2).min()
+    margins = []
+    for threads in (1, 2):
+        monkeypatch.setattr(ad, "CONV_THREADS", threads)
+        stack = [(ad.param(w1), ad.param(b1), 2), (ad.param(w2), ad.param(b2), 1)]
+        margins.append(ad.kink_margin(ad.reduce_sum(ad.conv1d(x, stack))))
+    npt.assert_allclose(margins[0], np.abs(z1).min(), rtol=1e-6)
+    assert margins[0] == margins[1]
 
 
-def _naive_relu_conv1d(x, w, b, stride):
-    """relu(valid conv) of every signal by explicit loops: x (S, T, C_in)."""
+def _naive_conv1d(x, w, b, stride):
+    """Valid conv (the pre-activation) of every signal by explicit loops:
+    x (S, T, C_in)."""
     k, c_in, c_out = w.shape
     t_out = (x.shape[1] - k) // stride + 1
     out = np.zeros((x.shape[0], t_out, c_out))
     for s in range(x.shape[0]):
         for i in range(t_out):
             for o in range(c_out):
-                z = b[o] + sum(
+                out[s, i, o] = b[o] + sum(
                     x[s, i * stride + j, c] * w[j, c, o] for j in range(k) for c in range(c_in)
                 )
-                out[s, i, o] = max(z, 0.0)
     return out
+
+
+def _naive_relu_conv1d(x, w, b, stride):
+    """relu(valid conv) of every signal by explicit loops: x (S, T, C_in)."""
+    return np.maximum(_naive_conv1d(x, w, b, stride), 0.0)
 
 
 def test_fused_conv1d_matches_naive_oracle_across_blocks(monkeypatch):

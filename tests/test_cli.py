@@ -381,6 +381,15 @@ def test_folds_parallel_is_echoed_only_by_the_fold_commands(tmp_path):
         assert "folds_parallel" not in json.load(open(os.path.join(out, "config.json")))
 
 
+@pytest.mark.parametrize("command", ["cv", "ablation", "sweep"])
+def test_help_of_each_fold_command_describes_folds_parallel(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--folds-parallel FOLDS_PARALLEL run folds in this many worker processes; "
+            f"1 runs them serially (default here: {FOLD_WORKERS})") in text
+
+
 def test_eval_refuses_params_whose_header_was_edited(tmp_path, capsys):
     train_out = str(tmp_path / "tr")
     assert run("train", "--out", train_out, "--seed", "8", *TINY_FLAGS) == 0

@@ -12,6 +12,14 @@ from hybridgnn import data as dat
 from hybridgnn import extractor as ex
 
 
+def zscored(w):
+    """Reference for a window as a segment set reads it: each electrode's
+    (w - mean) / max(std, Z_SCORE_STD_FLOOR), computed apart from the package."""
+    mean = w.mean(axis=-1, keepdims=True)
+    std = w.std(axis=-1, keepdims=True)
+    return (w - mean) / np.maximum(std, ex.Z_SCORE_STD_FLOOR)
+
+
 def _recording(seconds=300.0, fs=100.0, n=3, subject="s1", label="HC", seed=0):
     rng = np.random.default_rng(seed)
     return dat.Recording(
@@ -63,6 +71,24 @@ def test_non_integral_window_rejected():
         dat.segment_recording(rec, 0.3, 0.0)
 
 
+def test_decimal_window_is_a_whole_number_of_samples():
+    # 0.3 s at 250 Hz is 75 samples; the binary value nearest 0.3, times 250,
+    # is not a whole number
+    rec = _recording(2.0, 250.0)
+    starts = dat.segment_recording(rec, 0.3, 0.0)
+    assert starts == list(range(0, 426, 75))
+    assert dat.build_segments([rec], 0.3, 0.0).shape == (len(starts), 3, 75)
+
+
+@pytest.mark.parametrize("overlap", [0.1, np.float64(0.1)], ids=["float", "numpy_float"])
+def test_decimal_overlap_strides_whole_samples(overlap):
+    # 10 % overlap of 100-sample windows is a stride of 90 samples: windows
+    # start at 0, 90, 180, ..., not at the floors 0, 89, 179, ... of the
+    # stride that the binary value nearest 0.1 gives
+    rec = _recording(10.0, 100.0)
+    assert dat.segment_recording(rec, 1.0, overlap) == list(range(0, 901, 90))
+
+
 def test_counts_match_enumeration_oracle():
     rng = np.random.default_rng(0)
     for _ in range(60):
@@ -88,7 +114,7 @@ def test_overlapping_segments_share_exact_samples():
     x = dat.build_segments([rec], 4.0, 0.75).x
     # each row is its own window of the signal, z-scored per electrode
     for row, start in zip(x, starts):
-        npt.assert_array_equal(row, ex.zscore(rec.signal[:, start : start + window]))
+        npt.assert_array_equal(row, zscored(rec.signal[:, start : start + window]))
 
 
 def test_segments_carry_subject_and_offsets():
@@ -109,7 +135,7 @@ def test_segment_rows_are_copies_of_the_signal_windows():
     rows = [(rec, s) for rec in recs for s in dat.segment_recording(rec, 4.0, 0.5)]
     assert ss.x.shape == (len(rows), 3, 256)
     for row, (rec, start) in zip(ss.x, rows):
-        npt.assert_array_equal(row, ex.zscore(rec.signal[:, start : start + 256]))
+        npt.assert_array_equal(row, zscored(rec.signal[:, start : start + 256]))
     assert not np.shares_memory(ss.x, recs[0].signal)
     assert list(ss.subjects) == [rec.subject_id for rec, _ in rows]
     assert list(ss.y) == [dat.LABEL_INDEX[rec.label] for rec, _ in rows]
@@ -151,7 +177,7 @@ def test_segment_rows_are_read_from_the_recordings(rows):
     ss = dat.build_segments(recs, 4.0, 0.75)
     windows = [rec.signal[:, s : s + 128] for rec in recs for s in dat.segment_recording(rec, 4.0, 0.75)]
     assert len(ss) == len(windows) == 13
-    expected = np.array([ex.zscore(w) for w in windows])[rows]
+    expected = np.array([zscored(w) for w in windows])[rows]
     got = ss[rows]
     assert got.dtype == np.float64 and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()

@@ -14,8 +14,9 @@ import pytest
 from hybridgnn import autodiff as ad
 from hybridgnn import data as dat
 from hybridgnn import model as mdl
-from hybridgnn.extractor import zscore
 from hybridgnn.training import batch_loss
+
+from test_data import zscored
 
 TINY = dict(
     n_channels=4, feature_dim=4, proj_dim=4, out_dim=3, steps=2, region_steps=1,
@@ -74,7 +75,7 @@ def test_segments_are_normalized_exactly_once(monkeypatch):
     mdl.forward_batch(segs.x, params, cfg)
     layers = [(params[f"extractor.{i}.w"], params[f"extractor.{i}.b"], spec[1])
               for i, spec in enumerate(cfg.extractor_layers)]
-    npt.assert_array_equal(seen[0].value, ad.conv1d(zscore(raw)[..., None], layers).value)
+    npt.assert_array_equal(seen[0].value, ad.conv1d(zscored(raw)[..., None], layers).value)
 
 
 def test_diagnostics_presence_per_variant():

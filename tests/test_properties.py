@@ -16,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridgnn import data as dat
-from hybridgnn import extractor as ex
 from hybridgnn import model as mdl
+
+from test_data import zscored
 
 REPLAY = settings(derandomize=True, deadline=None)
 
@@ -49,7 +50,8 @@ def test_window_starts_match_exact_enumeration(eighths, rate, overlap, total, n)
     rec = dat.Recording("s", "MDD", fs, np.random.default_rng(total).normal(size=(n, total)),
                         [f"c{i}" for i in range(n)])
     window = eighths * rate
-    stride = window * (1 - Fraction(overlap))
+    # the overlap as the decimal it prints as, as segment_recording takes it
+    stride = window * (1 - Fraction(str(overlap)))
     if stride < 1:
         # windows would repeat a start, so the overlap is refused
         with pytest.raises(dat.WindowStrideError, match="windows would repeat"):
@@ -66,7 +68,7 @@ def test_window_starts_match_exact_enumeration(eighths, rate, overlap, total, n)
     ss = dat.build_segments([rec], window_s, overlap)
     assert ss.x.shape == (len(starts), n, window)
     for row, start in zip(ss.x, starts):
-        npt.assert_array_equal(row, ex.zscore(rec.signal[:, start : start + window]))
+        npt.assert_array_equal(row, zscored(rec.signal[:, start : start + window]))
     assert list(ss.y) == [1] * len(starts) and list(ss.subjects) == ["s"] * len(starts)
 
 
