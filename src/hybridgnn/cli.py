@@ -132,10 +132,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if config_path:
         if not os.path.exists(config_path):
             raise ConfigError(f"config file not found: {config_path}")
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise ConfigError(f"config file {config_path}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {config_path}: expected a JSON object")
@@ -189,6 +189,8 @@ def train_config(cfg: dict) -> TrainConfig:
 
 def synth_recordings(cfg: dict):
     """The configured synthetic recordings; non-positive or non-finite sizes are refused."""
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     try:
         return synth_generate(
             cfg["synth_subjects_per_class"],
@@ -279,8 +281,8 @@ def cmd_cv(args) -> int:
     mcfg, tcfg = model_config(cfg), train_config(cfg)
     segs = cv_segments(cfg, mcfg.extractor_layers)
     _prepare_out(cfg, args.out)
-    report = ten_fold_cv(
-        segs, mcfg, tcfg, n_jobs=cfg["folds_parallel"], log=lambda s: print(s, flush=True),
+    [report] = ten_fold_cv(
+        segs, [(mcfg, tcfg)], n_jobs=cfg["folds_parallel"], log=lambda s: print(s, flush=True),
     )
     table = report.to_table()
     with open(os.path.join(args.out, "report.txt"), "w") as fh:
@@ -293,13 +295,12 @@ def cmd_cv(args) -> int:
 def cmd_ablation(args) -> int:
     cfg = resolve_config(args)
     tcfg = train_config(cfg)
-    mcfgs = {variant: model_config({**cfg, "variant": variant}) for variant in VARIANTS}
-    segs = cv_segments(cfg, mcfgs["full"].extractor_layers)  # one extractor in every variant
+    runs = [(model_config({**cfg, "variant": variant}), tcfg) for variant in VARIANTS]
+    segs = cv_segments(cfg, runs[0][0].extractor_layers)  # one extractor in every variant
     _prepare_out(cfg, args.out)
     rows = []
     reports = {}
-    for variant, mcfg in mcfgs.items():
-        report = ten_fold_cv(segs, mcfg, tcfg, n_jobs=cfg["folds_parallel"])
+    for variant, report in zip(VARIANTS, ten_fold_cv(segs, runs, n_jobs=cfg["folds_parallel"])):
         reports[variant] = report.to_json_dict()
         rows.append((variant, report.mean))
         print(f"variant {variant}: mean acc {report.mean['acc']:.4f}", flush=True)
@@ -323,22 +324,16 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--values: {exc}") from None
     key = "n_regions" if args.param == "n_regions" else "lam"
-    runs = []
-    for value in values:
-        local = {**cfg, key: value}
-        runs.append((value, model_config(local), train_config(local)))
-    segs = cv_segments(cfg, runs[0][1].extractor_layers)
+    runs = [(model_config(c), train_config(c)) for c in ({**cfg, key: value} for value in values)]
+    segs = cv_segments(cfg, runs[0][0].extractor_layers)
     _prepare_out(cfg, args.out)
-    rows = []
-    for value, mcfg, tcfg in runs:
-        report = ten_fold_cv(segs, mcfg, tcfg, n_jobs=cfg["folds_parallel"])
-        rows.append((value, report.mean["acc"], report.std["acc"]))
-        print(f"{args.param}={value}: mean acc {report.mean['acc']:.4f}", flush=True)
+    reports = ten_fold_cv(segs, runs, n_jobs=cfg["folds_parallel"])
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write(f"{args.param},mean_acc,std_acc\n")
-        for value, acc, std in rows:
-            fh.write(f"{value!r},{acc!r},{std!r}\n")
+        for value, report in zip(values, reports):
+            print(f"{args.param}={value}: mean acc {report.mean['acc']:.4f}", flush=True)
+            fh.write(f"{value!r},{report.mean['acc']!r},{report.std['acc']!r}\n")
     print(f"sweep results -> {csv_path}")
     return 0
 
@@ -446,7 +441,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, ParamsFileError, FileNotFoundError) as exc:
+    except (ConfigError, DatasetError, ParamsFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pipeline failure

@@ -221,8 +221,11 @@ def load_dataset(manifest_path: str):
     """Read a manifest and its binary signal files into Recordings."""
     if not os.path.exists(manifest_path):
         raise DataFileMissingError(f"manifest not found: {manifest_path}")
-    with open(manifest_path) as fh:
-        entries = json.load(fh)
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            entries = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DatasetError(f"{manifest_path}: cannot decode the manifest: {exc}") from None
     if not isinstance(entries, list):
         raise DatasetError(f"{manifest_path}: manifest must be a JSON array of entries")
     base = os.path.dirname(os.path.abspath(manifest_path))

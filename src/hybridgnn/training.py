@@ -8,6 +8,7 @@ no individual contributes segments to both sides of a fold.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -44,6 +45,8 @@ class TrainConfig:
             raise ValueError(f"lam must be >= 0 and finite, got {self.lam}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -90,7 +93,7 @@ class _Sgd:
     def step(self, named):
         for _name, node in named:
             if node.grad is not None:
-                node.value = node.value - self.lr * node.grad
+                node.value -= self.lr * node.grad
 
 
 class _Adam:
@@ -107,11 +110,12 @@ class _Adam:
         for name, node in named:
             if node.grad is None:
                 continue
-            m, v = self.state.get(name, (0.0, 0.0))
-            m = b1 * m + (1 - b1) * node.grad
-            v = b2 * v + (1 - b2) * node.grad**2
-            self.state[name] = (m, v)
-            node.value = node.value - self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+            if name not in self.state:
+                self.state[name] = (np.zeros_like(node.grad), np.zeros_like(node.grad))
+            m, v = self.state[name]
+            np.add(b1 * m, (1 - b1) * node.grad, out=m)
+            np.add(b2 * v, (1 - b2) * node.grad**2, out=v)
+            node.value -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 def train_epoch(
@@ -137,7 +141,6 @@ def train_epoch(
         if not math.isfinite(value):
             norms = {name: float(np.linalg.norm(node.value)) for name, node in params.items()}
             raise TrainingDivergedError(start // tcfg.batch_size, norms)
-        ad.zero_grads(params.values())
         ad.backward(objective)
         sq = 0.0
         for node in params.values():
@@ -145,6 +148,10 @@ def train_epoch(
                 sq += float((node.grad**2).sum())
         grad_norms.append(math.sqrt(sq))
         optimizer.step(params.items())
+        # with in-place updates and the gradients freed here, every step starts
+        # from the heap the last one started from, so it stops growing after
+        # the first step
+        ad.zero_grads(params.values())
         losses.append(value)
     return {"mean_loss": float(np.mean(losses)), "grad_norm": float(np.mean(grad_norms))}
 
@@ -337,7 +344,7 @@ FOLD_WORKERS = min(N_FOLDS, ad.usable_cpus())
 _WORKER_STATE = {}
 
 
-def _worker_init(segset, mcfg, tcfg):
+def _worker_init(segset):
     # the workers already use every CPU between them; more BLAS or conv
     # threads per worker only contend, and extra BLAS threads made the pool's
     # wall time bimodal, at times several times the serial run's; a worker
@@ -345,42 +352,34 @@ def _worker_init(segset, mcfg, tcfg):
     ad.keep_freed_memory()
     ad.pin_blas()
     ad.CONV_THREADS = 1
-    _WORKER_STATE["args"] = (segset, mcfg, tcfg)
+    _WORKER_STATE["segset"] = segset
 
 
-def _worker_run(test_subjects, k):
-    segset, mcfg, tcfg = _WORKER_STATE["args"]
-    m = _run_fold(segset, mcfg, tcfg, test_subjects, k)
-    return (m.tp, m.fp, m.fn, m.tn)
+def _worker_run(task):
+    return _run_fold(_WORKER_STATE["segset"], *task)
 
 
-def ten_fold_cv(
-    segset: SegmentSet,
-    mcfg: ModelConfig,
-    tcfg: TrainConfig,
-    n_jobs: int = FOLD_WORKERS,
-    log=None,
-) -> FoldReport:
-    """Subject-exclusive cross-validation with per-fold re-initialization.
-
-    Folds are independent; `n_jobs > 1` runs them in up to `n_jobs` worker
-    processes (no more than there are folds) and produces metrics identical
-    to the serial order.
-    """
-    groups = partition_subjects(segset.subjects, tcfg.seed)
-    n_workers = min(n_jobs, len(groups))
+def ten_fold_cv(segset: SegmentSet, runs, n_jobs: int = FOLD_WORKERS, log=None) -> list:
+    """Subject-exclusive cross-validation with per-fold re-initialization: one
+    `FoldReport` per `(ModelConfig, TrainConfig)` of `runs`, in order. Each fold
+    of each run is one task; `n_jobs > 1` runs every task on one pool of up to
+    `n_jobs` worker processes (no more than there are tasks) and produces
+    metrics identical to the serial order."""
+    partitions = [partition_subjects(segset.subjects, tcfg.seed) for _mcfg, tcfg in runs]
+    tasks = [(*run, group, k) for run, groups in zip(runs, partitions) for k, group in enumerate(groups)]
+    n_workers = min(n_jobs, len(tasks))
     folds = []
-    if n_workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_worker_init, initargs=(segset, mcfg, tcfg)
-        ) as pool:
-            for k, counts in enumerate(pool.map(_worker_run, groups, range(len(groups)))):
-                folds.append(Metrics(*counts))
-                if log is not None:
-                    log(f"fold {k} acc {folds[-1].acc:.4f}")
-    else:
-        for k, group in enumerate(groups):
-            folds.append(_run_fold(segset, mcfg, tcfg, group, k))
+    with contextlib.ExitStack() as stack:
+        if n_workers > 1:
+            pool = ProcessPoolExecutor(max_workers=n_workers, initializer=_worker_init, initargs=(segset,))
+            results = stack.enter_context(pool).map(_worker_run, tasks)
+        else:
+            results = (_run_fold(segset, *task) for task in tasks)
+        for (*_run, k), metrics in zip(tasks, results):
+            folds.append(metrics)
             if log is not None:
-                log(f"fold {k} acc {folds[-1].acc:.4f}")
-    return FoldReport.from_folds(folds, groups, mcfg, tcfg)
+                log(f"fold {k} acc {metrics.acc:.4f}")
+    return [
+        FoldReport.from_folds(folds[i * N_FOLDS : (i + 1) * N_FOLDS], groups, *run)
+        for i, (run, groups) in enumerate(zip(runs, partitions))
+    ]

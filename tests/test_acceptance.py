@@ -231,7 +231,7 @@ def test_criterion_08_synthetic_benchmark():
     recs = dat.synth_generate(20, 60.0, n_channels=19, fs=256.0, seed=0)
     segs = dat.build_segments(recs, 4.0, 0.0)
     assert segs.x.shape == (600, 19, 1024)
-    report = tr.ten_fold_cv(segs, mdl.ModelConfig(), tr.TrainConfig(seed=0))
+    [report] = tr.ten_fold_cv(segs, [(mdl.ModelConfig(), tr.TrainConfig(seed=0))])
     elapsed = time.monotonic() - started
     assert all(len(subjects) == 4 for subjects in report.fold_subjects)
     ok = report.mean["acc"] >= 0.90 and report.mean["f1"] >= 0.90 and elapsed <= 900
@@ -246,14 +246,14 @@ def test_criterion_08_synthetic_benchmark():
 def test_criterion_09_ablation_ordering():
     recs = dat.synth_generate(10, 30.0, n_channels=19, fs=64.0, seed=900)
     segs = dat.build_segments(recs, 4.0, 0.0)
-    medians = {}
-    for variant in ("full", "a", "b"):
-        accs = []
-        for seed in range(3):
-            mcfg = mdl.ModelConfig(variant=variant)
-            tcfg = tr.TrainConfig(seed=seed, max_epochs=10, batch_size=32)
-            accs.append(tr.ten_fold_cv(segs, mcfg, tcfg).mean["acc"])
-        medians[variant] = float(np.median(accs))
+    variants = ("full", "a", "b")
+    runs = [
+        (mdl.ModelConfig(variant=variant), tr.TrainConfig(seed=seed, max_epochs=10, batch_size=32))
+        for variant in variants
+        for seed in range(3)
+    ]
+    accs = [report.mean["acc"] for report in tr.ten_fold_cv(segs, runs)]  # one fold pool for all nine
+    medians = {variant: float(np.median(accs[3 * i : 3 * i + 3])) for i, variant in enumerate(variants)}
     ok = medians["full"] >= medians["a"] and medians["full"] >= medians["b"]
     _report(
         9, ok,

@@ -131,6 +131,8 @@ TOO_FEW_SUBJECTS = "need at least 10 subjects for 10-fold CV, have 4"
     (["sweep", "--param", "lambda", "--values", "abc"], "--values"),
     (["train", "--overlap", "0.999"], "windows would repeat"),
     (["eval", "--params", V1_FIXTURE, "--overlap", "0.999"], "windows would repeat"),
+    (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["synth", "--seed", "-3"], "seed must be >= 0, got -3"),
 ], ids=[
     "epochs-0", "epochs-neg", "lr-nan", "lambda-nan", "folds-parallel-0", "folds-parallel-neg",
     "window-0", "window-neg", "window-inf", "window-below-receptive-field",
@@ -138,13 +140,59 @@ TOO_FEW_SUBJECTS = "need at least 10 subjects for 10-fold CV, have 4"
     "synth-subjects-0", "synth-size-overflow", "synth-command-size-overflow", "synth-1-sample",
     "synth-0-samples", "cv-4-subjects", "ablation-4-subjects", "sweep-4-subjects",
     "sweep-value-refused", "sweep-values-unparsable", "overlap-below-one-sample",
-    "eval-overlap-below-one-sample",
+    "eval-overlap-below-one-sample", "seed-neg", "synth-seed-neg",
 ])
 def test_refused_run_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     # later flags win, so argv's settings override the TINY ones
     out = tmp_path / "refused"
     assert run(argv[0], "--out", str(out), *TINY_FLAGS, *argv[1:]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("train", "--manifest", "[\n"),
+    ("train", "--manifest", b"\xff\xfe[]"),
+    ("train", "--manifest", None),
+    ("train", "--config", b'{"seed": "\xff"}'),
+    ("train", "--config", None),
+    ("eval", "--params", None),
+    ("train", "--out", "kept\n"),
+], ids=[
+    "manifest-malformed-json", "manifest-not-utf8", "manifest-is-directory", "config-not-utf8",
+    "config-is-directory", "params-is-directory", "out-is-a-file",
+])
+def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, command, flag, content):
+    # content None makes the path a directory
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    manifest, _entries = _tiny_manifest(tmp_path)
+    args = {"--out": str(tmp_path / "refused"), "--manifest": manifest, flag: str(path)}
+    flags = TINY_FLAGS[TINY_FLAGS.index("--n-channels"):]
+    assert main([command, *[a for pair in args.items() for a in pair], *flags]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    if flag == "--out":
+        assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_negative_seed_from_config_or_with_manifest_exits_2_and_writes_nothing(
+    tmp_path, capsys, command
+):
+    # a seed from a config file, and with data that needs no seed to load
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"seed": -2}')
+    manifest, _entries = _tiny_manifest(tmp_path)
+    flags = TINY_FLAGS[TINY_FLAGS.index("--n-channels"):]
+    out = tmp_path / "refused"
+    assert main([command, "--out", str(out), "--manifest", manifest, "--config", str(cfg_path), *flags]) == 2
+    assert "seed must be >= 0, got -2" in capsys.readouterr().err
     assert not out.exists()
 
 

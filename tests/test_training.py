@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 
 from hybridgnn import autodiff as ad
+from hybridgnn import cli
 from hybridgnn import data as dat
 from hybridgnn import model as mdl
 from hybridgnn import training as tr
@@ -289,7 +290,7 @@ def test_folds_read_only_their_own_rows(monkeypatch):
 
     monkeypatch.setattr(dat.SegmentSet, "x", property(whole_set))
     tcfg = tr.TrainConfig(seed=11, max_epochs=1, batch_size=16)
-    report = tr.ten_fold_cv(ss, tiny_config(), tcfg, n_jobs=1)
+    [report] = tr.ten_fold_cv(ss, [(tiny_config(), tcfg)], n_jobs=1)
     assert report.pooled.tp + report.pooled.fp + report.pooled.fn + report.pooled.tn == len(ss)
 
 
@@ -347,7 +348,7 @@ def test_cv_folds_are_subject_exclusive():
     ss = _toy_dataset(seed=10, n_per_class=6, seconds=12.0)
     cfg = tiny_config()
     tcfg = tr.TrainConfig(seed=11, max_epochs=1, batch_size=16)
-    report = tr.ten_fold_cv(ss, cfg, tcfg)
+    [report] = tr.ten_fold_cv(ss, [(cfg, tcfg)])
     all_subjects = set(ss.subjects)
     seen = []
     for fold_subjects in report.fold_subjects:
@@ -360,7 +361,7 @@ def test_fold_report_structure():
     ss = _toy_dataset(seed=12, n_per_class=5, seconds=12.0)
     cfg = tiny_config()
     tcfg = tr.TrainConfig(seed=13, max_epochs=1, batch_size=16)
-    report = tr.ten_fold_cv(ss, cfg, tcfg)
+    [report] = tr.ten_fold_cv(ss, [(cfg, tcfg)])
     as_json = report.to_json_dict()
     assert len(as_json["folds"]) == 10
     for fold in as_json["folds"]:
@@ -380,7 +381,7 @@ def _blas_threads(_):
 @pytest.mark.skipif(ad.openblas() is None, reason="numpy's bundled OpenBLAS not found")
 def test_fold_worker_runs_blas_on_one_thread():
     with ProcessPoolExecutor(
-        max_workers=1, initializer=tr._worker_init, initargs=(None, None, None)
+        max_workers=1, initializer=tr._worker_init, initargs=(None,)
     ) as pool:
         assert pool.submit(_blas_threads, None).result() == 1
 
@@ -399,7 +400,7 @@ def test_fold_worker_runs_the_conv_on_one_thread(monkeypatch):
     # a forked worker starts from the parent's setting, 2 threads here
     monkeypatch.setattr(ad, "CONV_THREADS", 2)
     with ProcessPoolExecutor(
-        max_workers=1, initializer=tr._worker_init, initargs=(None, None, None)
+        max_workers=1, initializer=tr._worker_init, initargs=(None,)
     ) as pool:
         assert pool.submit(_conv_in_worker, None).result() == (1, [])
 
@@ -411,7 +412,7 @@ def test_fold_worker_applies_the_allocator_policy(monkeypatch):
     monkeypatch.setattr(ad, "pin_blas", lambda: None)
     monkeypatch.setattr(ad, "CONV_THREADS", ad.CONV_THREADS)
     monkeypatch.setattr(tr, "_WORKER_STATE", {})
-    tr._worker_init(None, None, None)
+    tr._worker_init(None)
     assert calls == ["policy"]
 
 
@@ -462,22 +463,75 @@ def test_default_fold_workers(monkeypatch):
     assert ad.usable_cpus() == 1
 
 
-class _PoolStarted(Exception):
-    pass
+def _multi_runs():
+    """Runs that differ in variant and in seed, and so in partition."""
+    return [
+        (tiny_config("full"), tr.TrainConfig(seed=11, max_epochs=1, batch_size=16)),
+        (tiny_config("a"), tr.TrainConfig(seed=12, max_epochs=1, batch_size=16)),
+        (tiny_config("e"), tr.TrainConfig(seed=11, max_epochs=1, batch_size=16, lam=1e-3)),
+    ]
 
 
-def test_fold_pool_has_at_most_one_worker_per_fold(monkeypatch):
-    requested = []
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_multi_run_cv_reports_each_run_as_a_single_run_call(n_jobs):
+    ss = _toy_dataset(seed=10, n_per_class=6, seconds=12.0)
+    runs = _multi_runs()
+    reports = tr.ten_fold_cv(ss, runs, n_jobs=n_jobs)
+    assert len(reports) == len(runs)
+    assert reports[0].fold_subjects != reports[1].fold_subjects  # the seeds partition differently
+    for run, report in zip(runs, reports):
+        [single] = tr.ten_fold_cv(ss, [run], n_jobs=1)
+        assert report.to_json_dict() == single.to_json_dict()
 
-    def spy(max_workers, **_kwargs):
-        requested.append(max_workers)
-        raise _PoolStarted
 
-    monkeypatch.setattr(tr, "ProcessPoolExecutor", spy)
+class _InlinePool:
+    """A fold pool that records its size and runs its tasks in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        self.segset = initargs[0]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return (tr._run_fold(self.segset, *task) for task in tasks)
+
+
+def test_fold_pool_has_at_most_one_worker_per_fold(monkeypatch, tmp_path):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(tr, "ProcessPoolExecutor", _InlinePool)
     ss = _toy_dataset(seed=10, n_per_class=6, seconds=12.0)
     tcfg = tr.TrainConfig(seed=11, max_epochs=1, batch_size=16)
-    with pytest.raises(_PoolStarted):
-        tr.ten_fold_cv(ss, tiny_config(), tcfg, n_jobs=64)
-    assert requested == [tr.N_FOLDS]
-    tr.ten_fold_cv(ss, tiny_config(), tcfg, n_jobs=1)  # serial: no pool
-    assert requested == [tr.N_FOLDS]
+    tr.ten_fold_cv(ss, [(tiny_config(), tcfg)], n_jobs=64)
+    assert _InlinePool.sizes == [tr.N_FOLDS]
+    tr.ten_fold_cv(ss, [(tiny_config(), tcfg)], n_jobs=1)  # serial: no pool
+    assert _InlinePool.sizes == [tr.N_FOLDS]
+    # every fold of every run goes to one pool, of at most one worker per task
+    runs = _multi_runs()
+    for n_jobs in (64, 3):
+        _InlinePool.sizes.clear()
+        tr.ten_fold_cv(ss, runs, n_jobs=n_jobs)
+        assert _InlinePool.sizes == [min(n_jobs, len(runs) * tr.N_FOLDS)]
+    # and so does each fold command: ablation's six variants, sweep's values
+    tiny = [
+        "--synth", "--synth-subjects", "5", "--synth-seconds", "12", "--synth-fs", "32",
+        "--n-channels", "4", "--feature-dim", "4", "--proj-dim", "4", "--out-dim", "3",
+        "--n-regions", "2", "--epochs", "1", "--batch-size", "8", "--seed", "4",
+    ]
+    commands = [
+        (["cv"], tr.N_FOLDS),
+        (["ablation"], len(mdl.VARIANTS) * tr.N_FOLDS),
+        (["sweep", "--param", "lambda", "--values", "1e-5,1e-3"], 2 * tr.N_FOLDS),
+    ]
+    for argv, n_tasks in commands:
+        for n_jobs in (64, 3):
+            _InlinePool.sizes.clear()
+            out = str(tmp_path / f"{argv[0]}_{n_jobs}")
+            assert cli.main([*argv, "--out", out, *tiny, "--folds-parallel", str(n_jobs)]) == 0
+            assert _InlinePool.sizes == [min(n_jobs, n_tasks)], argv[0]
