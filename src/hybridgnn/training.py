@@ -118,6 +118,27 @@ class _Adam:
             node.value -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
+def _permute_rows(arrays, order) -> None:
+    """Reorder the rows of every array in place so that row i holds what row
+    order[i] held, walking the permutation's cycles with one row of scratch
+    per array."""
+    order = order.tolist()
+    done = [False] * len(order)
+    for first in range(len(order)):
+        if done[first] or order[first] == first:
+            continue
+        held = [a[first].copy() for a in arrays]
+        i = first
+        while order[i] != first:
+            for a in arrays:
+                a[i] = a[order[i]]
+            done[i] = True
+            i = order[i]
+        for a, row in zip(arrays, held):
+            a[i] = row
+        done[i] = True
+
+
 def train_epoch(
     params: dict,
     mcfg: ModelConfig,
@@ -127,38 +148,50 @@ def train_epoch(
     optimizer,
     shuffle_rng: np.random.Generator,
 ) -> dict:
-    """One shuffled pass over the data; returns mean loss and mean grad norm."""
+    """One shuffled pass over the data; returns mean loss and mean grad norm.
+
+    x and y are reordered in place for the epoch and put back in their order
+    before it returns or raises, so the caller sees them unchanged."""
     if len(x) == 0:
         raise ValueError("train_epoch: empty shard")
     order = shuffle_rng.permutation(len(x))
     losses = []
     grad_norms = []
-    for start in range(0, len(order), tcfg.batch_size):
-        idx = order[start : start + tcfg.batch_size]
-        probs, diag = forward_batch(x[idx], params, mcfg)
-        objective = batch_loss(probs, y[idx], diag["assign"], tcfg.lam)
-        value = float(objective.value)
-        if not math.isfinite(value):
-            norms = {name: float(np.linalg.norm(node.value)) for name, node in params.items()}
-            raise TrainingDivergedError(start // tcfg.batch_size, norms)
-        ad.backward(objective)
-        sq = 0.0
-        for node in params.values():
-            if node.grad is not None:
-                sq += float((node.grad**2).sum())
-        grad_norms.append(math.sqrt(sq))
-        optimizer.step(params.items())
-        # with in-place updates and the gradients freed here, every step starts
-        # from the heap the last one started from, so it stops growing after
-        # the first step
-        ad.zero_grads(params.values())
-        losses.append(value)
+    # in shuffled order each batch is a contiguous slice of x, a view that the
+    # forward reads in place, so no batch is copied out of the windows
+    _permute_rows((x, y), order)
+    try:
+        for start in range(0, len(x), tcfg.batch_size):
+            batch = slice(start, start + tcfg.batch_size)
+            probs, diag = forward_batch(x[batch], params, mcfg)
+            objective = batch_loss(probs, y[batch], diag["assign"], tcfg.lam)
+            value = float(objective.value)
+            if not math.isfinite(value):
+                norms = {name: float(np.linalg.norm(node.value)) for name, node in params.items()}
+                raise TrainingDivergedError(start // tcfg.batch_size, norms)
+            ad.backward(objective)
+            sq = 0.0
+            for node in params.values():
+                if node.grad is not None:
+                    sq += float((node.grad**2).sum())
+            grad_norms.append(math.sqrt(sq))
+            optimizer.step(params.items())
+            # with in-place updates and the gradients freed here, every step
+            # starts from the heap the last one started from, so it stops
+            # growing after the first step; the step's graph goes too, so it
+            # does not live through the next step's forward
+            ad.zero_grads(params.values())
+            del probs, diag, objective
+            losses.append(value)
+    finally:
+        _permute_rows((x, y), np.argsort(order))
     return {"mean_loss": float(np.mean(losses)), "grad_norm": float(np.mean(grad_norms))}
 
 
 def train_model(x: np.ndarray, y: np.ndarray, mcfg: ModelConfig, tcfg: TrainConfig, log=None):
     """Train a fresh model on segments x z-scored as a `SegmentSet` reads
-    them out; returns (params, per-epoch history)."""
+    them out; returns (params, per-epoch history). Each epoch reorders the
+    writable arrays x and y in place and puts them back (`train_epoch`)."""
     params = init_model(mcfg, subseed(tcfg.seed, "params"))
     optimizer = _make_optimizer(tcfg)
     shuffle_rng = substream(tcfg.seed, "shuffle")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -400,6 +402,33 @@ def test_main_applies_the_allocator_policy_first(tmp_path, monkeypatch, capsys):
     assert calls == ["policy"]
     assert run("train", "--out", str(tmp_path / "x"), "--batch-size", "0") == 2
     assert calls == ["policy", "policy"]
+
+
+# `train` in a fresh process on one CPU (argv[1] "1") or on every CPU: its
+# batches of 3 19-electrode windows span one chunk of conv blocks, so the
+# conv starts no thread pool
+TRAIN_ON_CPUS = """
+import os, sys
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from hybridgnn.cli import main
+sys.exit(main(["train", "--manifest", sys.argv[2], "--out", sys.argv[3], "--epochs", "1", "--batch-size", "3"]))
+"""
+
+
+@pytest.mark.skipif(ad.openblas() is None or ad.usable_cpus() < 2, reason="needs OpenBLAS and 2 CPUs")
+def test_train_writes_the_same_params_on_one_cpu_and_on_every_cpu(tmp_path):
+    manifest = dat.save_dataset(dat.synth_generate(2, 16.0, seed=0), str(tmp_path / "data"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    blobs = []
+    for cpus in ("1", "all"):
+        out = str(tmp_path / cpus)
+        subprocess.run([sys.executable, "-c", TRAIN_ON_CPUS, cpus, manifest, out], env=env,
+                       capture_output=True, timeout=300, check=True)
+        with open(os.path.join(out, "params.bin"), "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
 
 
 COMMAND_ARGV = {

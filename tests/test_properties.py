@@ -1,5 +1,6 @@
-"""Property tests: window starts against an exact enumeration, and the
-parameter file's round trip and its refusal of corrupted bytes.
+"""Property tests: window starts against an exact enumeration, the
+parameter file's round trip and its refusal of corrupted bytes, and the
+in-place row order of a training epoch.
 
 Examples are derandomized, so every run checks the same cases and a failure
 replays."""
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from hybridgnn import data as dat
 from hybridgnn import model as mdl
+from hybridgnn import training as tr
 
 from test_data import zscored
 
@@ -166,3 +168,22 @@ def test_truncated_params_file_is_refused(length):
     except mdl.ParamsCorruptError:
         return
     raise AssertionError(f"a file cut to {length} of {len(CORRUPT_BLOB)} bytes loaded")
+
+
+# --- in-place row order ----------------------------------------------------------
+
+
+@REPLAY
+@given(order=st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))))
+@example(order=list(range(7)))  # the identity
+@example(order=[*range(1, 9), 0])  # one cycle through every row
+@example(order=[1, 0, 3, 2, 5, 4, 7, 6])  # only 2-cycles
+def test_rows_permuted_in_place_match_fancy_indexing(order):
+    order = np.array(order, dtype=np.intp)
+    rng = np.random.default_rng(len(order))
+    x, y = rng.normal(size=(len(order), 3, 5)), rng.integers(0, 2, len(order))
+    x_orig, y_orig = x.copy(), y.copy()
+    tr._permute_rows((x, y), order)
+    assert (x.tobytes(), y.tobytes()) == (x_orig[order].tobytes(), y_orig[order].tobytes())
+    tr._permute_rows((x, y), np.argsort(order))
+    assert (x.tobytes(), y.tobytes()) == (x_orig.tobytes(), y_orig.tobytes())

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -208,6 +209,106 @@ def test_empty_shards_rejected():
             params, cfg, tr.TrainConfig(), np.zeros((0, 4, 32)), np.zeros(0, dtype=int),
             tr._Sgd(1e-3), np.random.default_rng(0),
         )
+
+
+@pytest.mark.parametrize("batch_size", [5, 40])
+def test_epoch_batches_are_the_shuffled_rows_read_in_place(monkeypatch, batch_size):
+    # 32 rows in batches of 5 end in a short batch; a batch of 40 takes them all
+    ss = _toy_dataset()
+    x, y = ss.x, ss.y
+    x_orig, y_orig = x.copy(), y.copy()
+    seen = []
+    forward, loss = tr.forward_batch, tr.batch_loss
+
+    def forward_spy(segments, *args):
+        assert np.shares_memory(segments, x), "the batch was copied out of x"
+        seen.append([segments.tobytes()])
+        return forward(segments, *args)
+
+    def loss_spy(probs, labels, *args):
+        seen[-1].append(np.asarray(labels).tobytes())
+        return loss(probs, labels, *args)
+
+    monkeypatch.setattr(tr, "forward_batch", forward_spy)
+    monkeypatch.setattr(tr, "batch_loss", loss_spy)
+    cfg = tiny_config()
+    tcfg = tr.TrainConfig(batch_size=batch_size)
+    params, optimizer = mdl.init_model(cfg, 8), tr._make_optimizer(tcfg)
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    expected = []
+    for _epoch in range(3):
+        tr.train_epoch(params, cfg, tcfg, x, y, optimizer, rng)
+        order = twin.permutation(len(x))
+        for start in range(0, len(x), batch_size):
+            idx = order[start : start + batch_size]
+            expected.append([x_orig[idx].tobytes(), y_orig[idx].tobytes()])
+    assert len(x) == 32
+    assert seen == expected
+    assert (x.tobytes(), y.tobytes()) == (x_orig.tobytes(), y_orig.tobytes())
+
+
+def test_training_leaves_the_rows_in_the_callers_order(monkeypatch):
+    ss = _toy_dataset()
+    x, y = ss.x, ss.y
+    x_bytes, y_bytes = x.tobytes(), y.tobytes()
+    cfg = tiny_config()
+    tr.train_model(x, y, cfg, tr.TrainConfig(seed=2, max_epochs=3, batch_size=5))
+    assert (x.tobytes(), y.tobytes()) == (x_bytes, y_bytes)
+    # the loss turns non-finite at the third of seven batches
+    params = mdl.init_model(cfg, 2)
+    forward, calls = tr.forward_batch, []
+
+    def diverging(segments, params, mcfg):
+        calls.append(len(segments))
+        if len(calls) == 3:
+            params["head.w"].value += np.inf
+        return forward(segments, params, mcfg)
+
+    monkeypatch.setattr(tr, "forward_batch", diverging)
+    with pytest.raises(tr.TrainingDivergedError) as info, np.errstate(invalid="ignore"):
+        tr.train_epoch(params, cfg, tr.TrainConfig(batch_size=5), x, y, tr._Sgd(1e-3), np.random.default_rng(0))
+    assert info.value.batch_index == 2
+    assert (x.tobytes(), y.tobytes()) == (x_bytes, y_bytes)
+
+
+def test_step_graph_is_freed_before_the_next_forward(monkeypatch):
+    ss = _toy_dataset()
+    cfg = tiny_config()
+    tcfg = tr.TrainConfig(batch_size=8)
+    params = mdl.init_model(cfg, 3)
+    outputs = []  # weak references to every array the forwards returned
+    live_at_forward = []
+    forward = tr.forward_batch
+
+    def forward_spy(*args):
+        live_at_forward.append(sum(ref() is not None for ref in outputs))
+        probs, diag = forward(*args)
+        outputs.extend(weakref.ref(node.value) for node in [probs, diag["adj_inst"], *diag["assign"]])
+        return probs, diag
+
+    monkeypatch.setattr(tr, "forward_batch", forward_spy)
+    tr.train_epoch(params, cfg, tcfg, ss.x, ss.y, tr._make_optimizer(tcfg), np.random.default_rng(0))
+    assert live_at_forward == [0, 0, 0, 0]
+
+
+def test_train_step_holds_no_copy_of_its_batch(monkeypatch):
+    # one batch of 64 windows of 4 x 2048 samples, 4 MiB, against a tiny
+    # model: the step peaked at 6.2 MiB with its batch copied out of x and at
+    # 2.2 MiB reading x in place; on one conv thread the peak does not depend
+    # on how threads interleave
+    monkeypatch.setattr(ad, "CONV_THREADS", 1)
+    cfg = tiny_config()
+    tcfg = tr.TrainConfig(batch_size=64)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(64, 4, 2048)), rng.integers(0, 2, 64)
+    params, optimizer = mdl.init_model(cfg, 0), tr._make_optimizer(tcfg)
+    tracemalloc.start()
+    try:
+        tr.train_epoch(params, cfg, tcfg, x, y, optimizer, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes, f"train_epoch peaked at {peak} B; x is {x.nbytes} B"
 
 
 def _overlapping_set(n_per_class=3, seconds=12.0):
