@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -347,6 +348,11 @@ def cmd_eval(args) -> int:
     if args.export_graphs:
         graph_dir = os.path.join(args.out, "graphs")
         os.makedirs(graph_dir, exist_ok=True)
+        # an earlier export into this directory may hold more segments or a
+        # common adjacency this model lacks: its files go, and no other file
+        for name in os.listdir(graph_dir):
+            if _EXPORT_NAME.fullmatch(name):
+                os.remove(os.path.join(graph_dir, name))
         if "common_adj.raw" in params:
             common = common_adjacency(params["common_adj.raw"]).value
             _write_matrices([os.path.join(graph_dir, "common_adj.txt")], common[None])
@@ -359,6 +365,10 @@ def cmd_eval(args) -> int:
     if args.export_graphs:
         print(f"graph exports -> {graph_dir}")
     return 0
+
+
+# the names of the files that `eval --export-graphs` writes
+_EXPORT_NAME = re.compile(r"common_adj\.txt|sample_\d{5,}_(adj_inst|assign_\d+)\.txt")
 
 
 def _export_graphs(graph_dir: str, start: int, diag: dict) -> None:

@@ -20,7 +20,9 @@ from .data import SegmentSet
 from .model import ModelConfig, forward_batch, init_model
 from .rng import subseed, substream
 
-EVAL_BATCH_SIZE = 256  # segments per forward pass of predict
+# bytes of windows per forward pass of predict: a batch stays far below the
+# kept heap's 32 MiB mmap threshold, so it reuses freed memory
+EVAL_BATCH_BYTES = 4 << 20
 N_FOLDS = 10
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -261,11 +263,13 @@ def _forward_values(segments: np.ndarray, params: dict, mcfg: ModelConfig):
 
 def predict(params: dict, mcfg: ModelConfig, x, on_batch=None):
     """Argmax class per segment of x, an array or a `SegmentSet`, in batches
-    of EVAL_BATCH_SIZE. `on_batch(start, diag)`, if given, receives each
-    batch's first segment index and its diagnostics from `_forward_values`."""
+    of as many windows as fit in EVAL_BATCH_BYTES, at least one.
+    `on_batch(start, diag)`, if given, receives each batch's first segment
+    index and its diagnostics from `_forward_values`."""
+    batch = max(1, EVAL_BATCH_BYTES // (8 * math.prod(x.shape[1:])))
     preds = [np.empty(0, np.intp)]  # an empty x predicts nothing
-    for start in range(0, len(x), EVAL_BATCH_SIZE):
-        probs, diag = _forward_values(x[start : start + EVAL_BATCH_SIZE], params, mcfg)
+    for start in range(0, len(x), batch):
+        probs, diag = _forward_values(x[start : start + batch], params, mcfg)
         preds.append(np.argmax(probs, axis=-1))
         if on_batch is not None:
             on_batch(start, diag)
@@ -276,18 +280,16 @@ def mean_assignment_entropy(params: dict, mcfg: ModelConfig, x) -> float:
     """Mean over samples, pooling stages, and channels of the entropy of each
     assignment row, over x, an array or a `SegmentSet`. Returns nan for
     variants without pooling."""
-    total = 0.0
-    count = 0
+    rows = []
 
     def add(_start, diag):
-        nonlocal total, count
         for rv in diag["assign"]:
-            ent = -(rv * np.log(np.maximum(rv, ad.LOG_FLOOR))).sum(axis=-1)
-            total += float(ent.sum())
-            count += ent.size
+            rows.append(-(rv * np.log(np.maximum(rv, ad.LOG_FLOOR))).sum(axis=-1).ravel())
 
     predict(params, mcfg, x, on_batch=add)
-    return total / count if count else float("nan")
+    count = sum(r.size for r in rows)
+    # one exact sum, so the mean does not depend on where the batches split
+    return math.fsum(np.concatenate(rows)) / count if count else float("nan")
 
 
 # the metrics that fold summaries and tables report, in column order

@@ -364,6 +364,28 @@ def test_graph_export_bytes_match_row_by_row_savetxt(tmp_path):
     assert common.read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
 
+def test_export_rerun_leaves_no_file_of_the_earlier_export(tmp_path):
+    # variant e exports a common adjacency and, for each of 90 windows at 75 %
+    # overlap, an adjacency and two assignments; variant b, rerun into the
+    # same directory without overlap, exports one adjacency for each of 30
+    fixture = os.path.join(os.path.dirname(__file__), "data", "params_v1_tiny_e.bin")
+    assert run("train", "--out", str(tmp_path / "b"), "--variant", "b", *TINY_FLAGS) == 0
+    params_b = str(tmp_path / "b" / "params.bin")
+    out, fresh = tmp_path / "ev", tmp_path / "fresh"
+    assert run("eval", "--out", str(out), "--params", fixture, "--overlap", "0.75",
+               "--export-graphs", *TINY_FLAGS) == 0
+    (out / "graphs" / "notes.txt").write_text("not the export's")
+    for target in (out, fresh):
+        assert run("eval", "--out", str(target), "--params", params_b, "--overlap", "0",
+                   "--export-graphs", *TINY_FLAGS) == 0
+    written = sorted(os.listdir(fresh / "graphs"))
+    assert len(written) == 30 and "common_adj.txt" not in written
+    assert sorted(os.listdir(out / "graphs")) == sorted(written + ["notes.txt"])
+    for name in written:
+        assert (out / "graphs" / name).read_bytes() == (fresh / "graphs" / name).read_bytes()
+    assert (out / "graphs" / "notes.txt").read_text() == "not the export's"
+
+
 def test_eval_refuses_params_with_trailing_bytes(tmp_path, capsys):
     fixture = os.path.join(os.path.dirname(__file__), "data", "params_v1_tiny_e.bin")
     path = str(tmp_path / "params.bin")

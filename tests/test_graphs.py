@@ -118,10 +118,12 @@ def test_one_node_normalizes_to_one_with_zero_gradient():
     # a 1 x 1 adjacency a has degree d = a + 1, so it normalizes to the
     # constant (a + 1) / d = 1 and its gradient is 0; in float64 both are
     # within a few rounding errors (1/sqrt(d), two products), which is where
-    # gradient_check's central difference reads only noise
+    # gradient_check's central difference reads only noise (1.1e-3). From the
+    # smallest subnormal, through an a that d rounds away, to 1e300; above
+    # half the largest float the backward's 2 * d overflows
     eps = np.finfo(np.float64).eps
     g = np.array([[[0.7]], [[-2.0]]])
-    for a in (0.0, 0.3, 1.0, 3.0, 7.5, 1e3):
+    for a in (0.0, 5e-324, 1e-300, 1e-17, 1e-8, 0.3, 1.0, 3.0, 7.5, 1e3, 1e16, 1e100, 1e300):
         adj = ad.param(np.full((2, 1, 1), a))
         out = gr.normalize_adjacency(adj)
         npt.assert_allclose(out.value, 1.0, rtol=0, atol=4 * eps)

@@ -317,9 +317,10 @@ def _overlapping_set(n_per_class=3, seconds=12.0):
 
 
 def test_evaluate_reads_a_segment_set_batch_by_batch(monkeypatch):
-    # batches of 7 over 6 x 21 windows: several full batches and a short one
-    monkeypatch.setattr(tr, "EVAL_BATCH_SIZE", 7)
+    # batches of 7 over 6 x 21 windows: several full batches and a short one;
+    # a budget a byte short of 8 windows holds 7
     ss = _overlapping_set()
+    monkeypatch.setattr(tr, "EVAL_BATCH_BYTES", 8 * 8 * math.prod(ss.shape[1:]) - 1)
     cfg = tiny_config()
     params = mdl.init_model(cfg, 4)
     runs = []
@@ -337,6 +338,51 @@ def test_evaluate_reads_a_segment_set_batch_by_batch(monkeypatch):
     assert tr.mean_assignment_entropy(params, cfg, ss) == tr.mean_assignment_entropy(params, cfg, ss.x)
 
 
+@pytest.mark.parametrize("variant", ["full", "e"])
+def test_predict_gives_the_same_bytes_at_any_byte_budget(monkeypatch, variant):
+    # a budget below one window still reads one; 5 windows' worth splits the
+    # 126 windows with a short last batch; the default reads them all at once
+    ss = _overlapping_set()
+    window_bytes = 8 * math.prod(ss.shape[1:])
+    cfg = tiny_config(variant)
+    params = mdl.init_model(cfg, 4)
+    runs = []
+    for budget, per_batch in ((1, 1), (5 * window_bytes + 7, 5), (tr.EVAL_BATCH_BYTES, len(ss))):
+        monkeypatch.setattr(tr, "EVAL_BATCH_BYTES", budget)
+        starts, stacks = [], []
+
+        def on_batch(start, diag):
+            starts.append(start)
+            stacks.append([diag["adj_inst"], *diag["assign"]])
+
+        preds = tr.predict(params, cfg, ss, on_batch=on_batch)
+        assert starts == list(range(0, len(ss), per_batch))
+        diag = [np.concatenate(stage).tobytes() for stage in zip(*stacks)]
+        entropy = tr.mean_assignment_entropy(params, cfg, ss).hex()
+        runs.append((preds.tobytes(), diag, entropy))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_evaluate_holds_one_byte_budget_of_windows():
+    # 64 windows of 19 x 1024 (9.5 MiB; 256 such windows are 40 MB): evaluate
+    # holds one batch of at most EVAL_BATCH_BYTES of windows, and each conv
+    # thread a block's rows of its largest layer and that layer's input, each
+    # at most CONV_BLOCK_BYTES; 11 MiB when a batch held 256 windows
+    recs = dat.synth_generate(2, 64.0, n_channels=19, fs=256.0, seed=23)
+    ss = dat.build_segments(recs, 4.0, 0.0)
+    cfg = mdl.ModelConfig()
+    params = mdl.init_model(cfg, 5)
+    tracemalloc.start()
+    try:
+        tr.evaluate(params, cfg, ss, ss.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = tr.EVAL_BATCH_BYTES + 2 * ad.CONV_THREADS * ad.CONV_BLOCK_BYTES
+    assert ss.shape == (64, 19, 1024)
+    assert peak < bound, f"evaluate peaked at {peak} B against {bound} B"
+
+
 def test_no_segments_give_no_predictions_and_no_entropy():
     cfg = tiny_config()
     params = mdl.init_model(cfg, 4)
@@ -347,7 +393,8 @@ def test_no_segments_give_no_predictions_and_no_entropy():
 
 def test_evaluate_over_a_segment_set_holds_one_batch():
     # 16 recordings at 75 % overlap: 912 windows, 7.5 MB when read out whole,
-    # against batches of 256 windows (2.1 MB) and a forward that keeps no graph
+    # against batches of EVAL_BATCH_BYTES (512 windows, 4.2 MB) and a forward
+    # that keeps no graph
     recs = dat.synth_generate(8, 60.0, n_channels=4, fs=64.0, seed=22)
     ss = dat.build_segments(recs, 4.0, 0.75)
     x_bytes = int(np.prod(ss.shape)) * 8
