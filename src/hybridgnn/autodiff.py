@@ -18,6 +18,11 @@ as soon as nothing reads it, and `backward` of its result does nothing.
 Elementwise primitives follow numpy broadcasting; gradients are summed back
 over broadcast axes. `matmul` and `transpose` operate on the last two axes,
 so stacked (batched) operands work the way numpy's `@` does.
+
+Importing this module sets a policy for the whole process, once: numpy's
+BLAS runs on one thread (`pin_blas`) and freed memory stays in the process
+(`keep_freed_memory`). Every process that trains or evaluates imports it, so
+the CLI, library callers and fold workers all run under the same policy.
 """
 
 from __future__ import annotations
@@ -314,6 +319,13 @@ def keep_freed_memory() -> bool:
     return mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1 and took
 
 
+# the process's policy, set once by whatever imports the engine: a GEMM summed
+# on several BLAS threads can differ in its last bit, and BLAS threads beside
+# the conv threads or fold workers only contend
+pin_blas()
+keep_freed_memory()
+
+
 # threads that run conv1d's chunks; fold workers set 1, as the workers
 # already fill the CPUs between them
 CONV_THREADS = usable_cpus()
@@ -331,8 +343,6 @@ def _map_chunks(fn, chunks):
         return map(fn, chunks)
     with _POOLS_LOCK:
         if CONV_THREADS not in _POOLS:
-            # BLAS threads beside the conv threads only contend
-            pin_blas()
             _POOLS[CONV_THREADS] = ThreadPoolExecutor(CONV_THREADS, thread_name_prefix="conv1d")
         pool = _POOLS[CONV_THREADS]
     return pool.map(fn, chunks)

@@ -18,7 +18,6 @@ import re
 import sys
 from dataclasses import fields
 
-from . import autodiff as ad
 from .data import (
     DatasetError,
     build_segments,
@@ -447,11 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ad.keep_freed_memory()  # before the first train step's temporaries are freed
-    # a GEMM summed on several BLAS threads can differ in its last bit, so
-    # BLAS runs on one thread, as on a 1-CPU machine, whether or not a batch
-    # spans enough conv chunks to start the conv's thread pool
-    ad.pin_blas()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

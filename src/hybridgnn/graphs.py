@@ -54,6 +54,6 @@ def normalize_adjacency(adj: ad.Node) -> ad.Node:
         # d_i sums row i, so row i also gets -(row i + column i of g∘out) / (2 d_i)
         g_out = g * out
         g_deg = (g_out.sum(axis=-1) + g_out.sum(axis=-2))[..., None]
-        return (g * scale - g_deg / (2.0 * deg),)
+        return (g * scale - 0.5 * g_deg / deg,)
 
     return ad.Node(out, "normalize_adjacency", (adj,), bwd)

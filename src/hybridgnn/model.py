@@ -111,7 +111,8 @@ def param_shapes(config: ModelConfig) -> dict:
     """Name -> shape of every tensor the config trains, in parameter order.
 
     This is the one place that knows the tensors' names, shapes and order:
-    `init_model`, `bind_params`, `load_params` and `save_params` all follow it.
+    `init_model`, `load_params` and `save_params` all follow it, and a
+    gradient check binds its own leaves as `dict(zip(param_shapes(config), leaves))`.
     """
     f, d, layout = config.feature_dim, config.out_dim, config.layout
     shapes = {}
@@ -171,21 +172,6 @@ def init_model(config: ModelConfig, seed: int) -> dict:
             value = glorot(gen, shape, *shape)
         params[name] = ad.param(value)
     return params
-
-
-def bind_params(config: ModelConfig, nodes: list) -> dict:
-    """Parameters whose tensors ARE the given nodes.
-
-    Nodes must match `param_shapes(config)` in order and shape; used by
-    gradient checking, which supplies its own leaf nodes.
-    """
-    shapes = param_shapes(config)
-    if len(nodes) != len(shapes):
-        raise ValueError(f"expected {len(shapes)} tensors, got {len(nodes)}")
-    for (name, shape), node in zip(shapes.items(), nodes):
-        if node.value.shape != shape:
-            raise ValueError(f"tensor {name}: shape {node.value.shape} != {shape}")
-    return dict(zip(shapes, nodes))
 
 
 def _stack(params: dict, prefix: str, steps: int) -> list:

@@ -380,12 +380,8 @@ _WORKER_STATE = {}
 
 
 def _worker_init(segset):
-    # the workers already use every CPU between them; more BLAS or conv
-    # threads per worker only contend, and extra BLAS threads made the pool's
-    # wall time bimodal, at times several times the serial run's; a worker
-    # that is spawned, not forked, does not inherit the allocator policy
-    ad.keep_freed_memory()
-    ad.pin_blas()
+    # the workers already use every CPU between them; more conv threads per
+    # worker only contend (importing the engine set BLAS to one thread)
     ad.CONV_THREADS = 1
     _WORKER_STATE["segset"] = segset
 

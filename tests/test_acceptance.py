@@ -54,7 +54,7 @@ def test_criterion_01_full_model_gradient_integrity():
             seg = data_rng.normal(size=(1, 4, 32))
 
             def f(leaves):
-                probs, diag = mdl.forward_batch(seg, mdl.bind_params(TINY, leaves), TINY)
+                probs, diag = mdl.forward_batch(seg, dict(zip(mdl.param_shapes(TINY), leaves)), TINY)
                 return tr.batch_loss(probs, np.array([1]), diag["assign"], lam=1e-3)
 
             root = f([ad.param(a) for a in arrays])
@@ -68,7 +68,7 @@ def test_criterion_01_full_model_gradient_integrity():
                 nodes = list(fixed)
                 for leaf, i in zip(leaves, indices):
                     nodes[i] = leaf
-                probs, diag = mdl.forward_batch(seg, mdl.bind_params(TINY, nodes), TINY)
+                probs, diag = mdl.forward_batch(seg, dict(zip(mdl.param_shapes(TINY), nodes)), TINY)
                 return tr.batch_loss(probs, np.array([1]), diag["assign"], lam=1e-3)
 
             err = ad.gradient_check(f_group, [arrays[i] for i in indices], eps=eps)

@@ -416,16 +416,6 @@ def test_synth_command_writes_loadable_manifest(tmp_path):
     assert {r.label for r in recs} == {"HC", "MDD"}
 
 
-def test_main_applies_the_allocator_policy_first(tmp_path, monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(ad, "keep_freed_memory", lambda: calls.append("policy"))
-    with pytest.raises(SystemExit):
-        main(["no-such-command"])  # before the arguments are parsed
-    assert calls == ["policy"]
-    assert run("train", "--out", str(tmp_path / "x"), "--batch-size", "0") == 2
-    assert calls == ["policy", "policy"]
-
-
 # `train` in a fresh process on one CPU (argv[1] "1") or on every CPU: its
 # batches of 3 19-electrode windows span one chunk of conv blocks, so the
 # conv starts no thread pool

@@ -133,15 +133,12 @@ def test_branch_outputs_zero_weights_zero_branch():
 
 def test_branch_outputs_rejects_mismatched_widths():
     # both branches take out_dim from one config: a common-branch stack of
-    # another width is refused at bind time, and by the head in forward
+    # another width is refused by the head in forward
     cfg = mdl.ModelConfig(
         variant="c", n_channels=4, feature_dim=4, proj_dim=4, out_dim=3, n_regions=2,
         extractor_layers=((5, 2, 1, 8), (3, 2, 8, 4)),
     )
     params = mdl.init_model(cfg, 0)
-    nodes = [ad.param(np.ones((4, 5))) if n.startswith("cgnn.") else t for n, t in params.items()]
-    with pytest.raises(ValueError, match="cgnn.0"):
-        mdl.bind_params(cfg, nodes)
     for name in mdl.param_shapes(cfg):
         if name.startswith("cgnn."):
             params[name] = ad.param(np.ones((4, 5)))

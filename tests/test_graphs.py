@@ -119,15 +119,17 @@ def test_one_node_normalizes_to_one_with_zero_gradient():
     # constant (a + 1) / d = 1 and its gradient is 0; in float64 both are
     # within a few rounding errors (1/sqrt(d), two products), which is where
     # gradient_check's central difference reads only noise (1.1e-3). From the
-    # smallest subnormal, through an a that d rounds away, to 1e300; above
-    # half the largest float the backward's 2 * d overflows
+    # smallest subnormal, through an a that d rounds away, to the largest
+    # float, whose d no step of the backward may overflow
     eps = np.finfo(np.float64).eps
     g = np.array([[[0.7]], [[-2.0]]])
-    for a in (0.0, 5e-324, 1e-300, 1e-17, 1e-8, 0.3, 1.0, 3.0, 7.5, 1e3, 1e16, 1e100, 1e300):
+    big = (1e300, 1.7e308, np.finfo(np.float64).max)
+    for a in (0.0, 5e-324, 1e-300, 1e-17, 1e-8, 0.3, 1.0, 3.0, 7.5, 1e3, 1e16, 1e100, *big):
         adj = ad.param(np.full((2, 1, 1), a))
-        out = gr.normalize_adjacency(adj)
+        with np.errstate(over="raise"):
+            out = gr.normalize_adjacency(adj)
+            ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
         npt.assert_allclose(out.value, 1.0, rtol=0, atol=4 * eps)
-        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
         npt.assert_allclose(adj.grad, 0.0, rtol=0, atol=4 * eps * np.abs(g).max() / (1.0 + a))
 
 

@@ -180,21 +180,10 @@ def test_full_model_gradients_tiny_config():
     arrays = [n.value.copy() for n in mdl.init_model(cfg, seed=9).values()]
 
     def f(leaves):
-        probs, diag = mdl.forward_batch(seg, mdl.bind_params(cfg, leaves), cfg)
+        probs, diag = mdl.forward_batch(seg, dict(zip(mdl.param_shapes(cfg), leaves)), cfg)
         return batch_loss(probs, np.array([1]), diag["assign"], lam=1e-3)
 
     assert ad.gradient_check(f, arrays, eps=1e-5) < 1e-4
-
-
-def test_bind_params_validates_count_and_shapes():
-    cfg = tiny_config()
-    nodes = [ad.param(n.value) for n in mdl.init_model(cfg, 10).values()]
-    with pytest.raises(ValueError, match="tensors"):
-        mdl.bind_params(cfg, nodes[:-1])
-    bad = list(nodes)
-    bad[0] = ad.param(np.zeros((1, 1, 1)))
-    with pytest.raises(ValueError, match="shape"):
-        mdl.bind_params(cfg, bad)
 
 
 # --- parameter files ---------------------------------------------------------

@@ -553,27 +553,46 @@ def test_fold_worker_runs_the_conv_on_one_thread(monkeypatch):
         assert pool.submit(_conv_in_worker, None).result() == (1, [])
 
 
-def test_fold_worker_applies_the_allocator_policy(monkeypatch):
-    # a spawned worker inherits nothing of the parent's allocator settings
-    calls = []
-    monkeypatch.setattr(ad, "keep_freed_memory", lambda: calls.append("policy"))
-    monkeypatch.setattr(ad, "pin_blas", lambda: None)
-    monkeypatch.setattr(ad, "CONV_THREADS", ad.CONV_THREADS)
-    monkeypatch.setattr(tr, "_WORKER_STATE", {})
-    tr._worker_init(None)
-    assert calls == ["policy"]
+# `train_model` in a fresh process on one CPU (argv[1] "1") or on every CPU,
+# printing the hex of its parameter bytes: its batches of 3 19-electrode
+# windows span one chunk of conv blocks, so the conv starts no thread pool
+LIBRARY_TRAIN_ON_CPUS = """
+import hashlib, os, sys
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from hybridgnn.data import build_segments, synth_generate
+from hybridgnn.model import ModelConfig
+from hybridgnn.training import TrainConfig, train_model
+segs = build_segments(synth_generate(2, 16.0, seed=0), 4.0, 0.0)
+params, _ = train_model(segs.x, segs.y, ModelConfig(), TrainConfig(batch_size=3, max_epochs=1))
+print(hashlib.sha256(b"".join(p.value.tobytes() for p in params.values())).hexdigest())
+"""
+
+
+def _fresh_process(code, *args):
+    """stdout of `code` run in a new interpreter that imports this tree's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=300, check=True).stdout
+
+
+@pytest.mark.skipif(ad.openblas() is None or ad.usable_cpus() < 2, reason="needs OpenBLAS and 2 CPUs")
+def test_library_training_gives_the_same_params_on_one_cpu_and_on_every_cpu():
+    # no entry point sets the BLAS thread count; importing the engine does
+    one_cpu, every_cpu = (_fresh_process(LIBRARY_TRAIN_ON_CPUS, cpus) for cpus in ("1", "all"))
+    assert one_cpu == every_cpu
 
 
 # a train step as a cv_hd128 fold worker runs it: B=32 windows of 128
-# electrodes x 128 samples, variant e, 8 regions, conv and BLAS on one thread
+# electrodes x 128 samples, variant e, 8 regions, conv and BLAS on one
+# thread; the allocator policy is the one importing the engine set
 WORKER_STEP_FAULTS = """
 import json, resource
 import numpy as np
 from hybridgnn import autodiff as ad
 from hybridgnn.model import ModelConfig, init_model
 from hybridgnn.training import TrainConfig, _make_optimizer, train_epoch
-ad.keep_freed_memory()
-ad.pin_blas()
 ad.CONV_THREADS = 1
 mcfg, tcfg = ModelConfig(n_channels=128, variant="e", n_regions=8), TrainConfig(batch_size=32)
 rng = np.random.default_rng(0)
@@ -594,11 +613,7 @@ def test_worker_step_reuses_freed_memory_after_warm_up():
     # blocks, and the next step faults them in again: 3800-6600 minor faults
     # in each of steps 4-8; kept in the process, they fault in only during
     # the warm-up steps
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", WORKER_STEP_FAULTS], capture_output=True,
-                         text=True, env=env, timeout=300, check=True)
-    faults = json.loads(run.stdout)
+    faults = json.loads(_fresh_process(WORKER_STEP_FAULTS))
     assert max(faults[3:]) < 75, faults
 
 
