@@ -341,7 +341,9 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
     params, mcfg = load_params(args.params)
-    segs = load_segments({**cfg, "n_channels": mcfg.n_channels}, mcfg.extractor_layers)
+    # the model that runs is the parameter file's, and so is the one echoed
+    cfg.update({k: getattr(mcfg, k) for k in MODEL_KEYS})
+    segs = load_segments(cfg, mcfg.extractor_layers)
     _prepare_out(cfg, args.out)
     export = None
     if args.export_graphs:

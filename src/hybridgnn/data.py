@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extractor import zscore_in_place
 from .rng import substream
 
 LABEL_INDEX = {"HC": 0, "MDD": 1}
@@ -102,6 +101,21 @@ class Recording:
                 f"subject {self.subject_id}: {self.signal.shape[0]} signal rows vs "
                 f"{len(self.channel_names)} channel names"
             )
+
+
+Z_SCORE_STD_FLOOR = 1e-8
+
+
+def zscore_in_place(seg: np.ndarray) -> np.ndarray:
+    """Per-electrode zero-mean unit-std over time (std floored at
+    Z_SCORE_STD_FLOOR), written over the float64 array `seg`; returns it.
+
+    The z-score is not idempotent bit for bit, so data is normalized once."""
+    mu = seg.mean(axis=-1, keepdims=True)
+    sd = seg.std(axis=-1, keepdims=True)
+    seg -= mu
+    seg /= np.maximum(sd, Z_SCORE_STD_FLOOR)
+    return seg
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Per-electrode temporal feature extraction with a shared 1-D CNN.
 
 A segment (N electrodes x T_s samples), z-scored per electrode once when it
-is read from its segment set (`data.SegmentSet`), is pushed through a small stack
-of strided valid convolutions with relu, and averaged over the remaining time
-axis, giving one feature vector per electrode. The same kernels are applied
-to every electrode, so the electrode axis is only ever permuted, never mixed.
+is read from its segment set (`data.SegmentSet`, by `data.zscore_in_place`),
+is pushed through a small stack of strided valid convolutions with relu, and
+averaged over the remaining time axis, giving one feature vector per
+electrode. The same kernels are applied to every electrode, so the electrode
+axis is only ever permuted, never mixed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-
-Z_SCORE_STD_FLOOR = 1e-8
 
 
 def default_extractor_layers(feature_dim: int) -> tuple:
@@ -45,18 +44,6 @@ def output_lengths(t_s: int, layer_specs) -> list[int]:
         t = (t - k) // stride + 1
         lengths.append(t)
     return lengths
-
-
-def zscore_in_place(seg: np.ndarray) -> np.ndarray:
-    """Per-electrode zero-mean unit-std over time (std floored at
-    Z_SCORE_STD_FLOOR), written over the float64 array `seg`; returns it.
-
-    The z-score is not idempotent bit for bit, so data is normalized once."""
-    mu = seg.mean(axis=-1, keepdims=True)
-    sd = seg.std(axis=-1, keepdims=True)
-    seg -= mu
-    seg /= np.maximum(sd, Z_SCORE_STD_FLOOR)
-    return seg
 
 
 def extract_features(segment: np.ndarray, params: ExtractorParams) -> ad.Node:

@@ -190,7 +190,7 @@ def _head(y_all: ad.Node, params: dict) -> ad.Node:
 
 def forward_batch(segments: np.ndarray, params: dict, config: ModelConfig):
     """Run the model on a (B, N, T_s) stack of segments, z-scored per
-    electrode as reading them from a `data.SegmentSet` does (`extractor.zscore_in_place`
+    electrode as reading them from a `data.SegmentSet` does (`data.zscore_in_place`
     does it for raw segments); they are not normalized again.
 
     Returns (probs node of shape (B, C), diagnostics dict with graph nodes:
@@ -235,18 +235,16 @@ def forward_batch(segments: np.ndarray, params: dict, config: ModelConfig):
     return _head(y_all, params), diag
 
 
-def forward(segment: np.ndarray, params: dict, config: ModelConfig):
-    """Single-segment forward: (N, T_s) z-scored segment -> (class probs (C,),
-    diagnostics arrays)."""
-    segment = np.asarray(segment, dtype=np.float64)
-    if segment.ndim != 2:
-        raise ValueError(f"expected one (N, T) segment, got shape {segment.shape}")
-    probs, diag = forward_batch(segment[None], params, config)
-    out_diag = {
-        "adj_inst": None if diag["adj_inst"] is None else diag["adj_inst"].value[0],
-        "assign": [a.value[0] for a in diag["assign"]],
-    }
-    return probs.value[0], out_diag
+def forward(segments: np.ndarray, params: dict, config: ModelConfig):
+    """The inference forward: `forward_batch` on a (B, N, T_s) stack, reduced
+    to numpy arrays, probs (B, C) and the diagnostics, "adj_inst" (B, N, N)
+    or None and "assign" as a list of (B, N, N_r). It runs under
+    `ad.no_grad`, so it records no autodiff graph: each intermediate is
+    freed once the next op has read it."""
+    with ad.no_grad():
+        probs, diag = forward_batch(segments, params, config)
+    adj_inst = None if diag["adj_inst"] is None else diag["adj_inst"].value
+    return probs.value, {"adj_inst": adj_inst, "assign": [r.value for r in diag["assign"]]}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SegmentSet
-from .model import ModelConfig, forward_batch, init_model
+from .model import ModelConfig, forward, forward_batch, init_model
 from .rng import subseed, substream
 
 # bytes of windows per forward pass of predict: a batch stays far below the
@@ -250,26 +250,15 @@ def evaluate(params: dict, mcfg: ModelConfig, x, y: np.ndarray, on_batch=None) -
     return Metrics(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def _forward_values(segments: np.ndarray, params: dict, mcfg: ModelConfig):
-    """`forward_batch` reduced to numpy arrays: probs (B, C) and the
-    diagnostics, "adj_inst" (B, N, N) or None and "assign" as a list of
-    (B, N, N_r). The forward runs under `ad.no_grad`, so it records no
-    autodiff graph: each intermediate is freed once the next op has read it."""
-    with ad.no_grad():
-        probs, diag = forward_batch(segments, params, mcfg)
-    adj_inst = None if diag["adj_inst"] is None else diag["adj_inst"].value
-    return probs.value, {"adj_inst": adj_inst, "assign": [r.value for r in diag["assign"]]}
-
-
 def predict(params: dict, mcfg: ModelConfig, x, on_batch=None):
     """Argmax class per segment of x, an array or a `SegmentSet`, in batches
     of as many windows as fit in EVAL_BATCH_BYTES, at least one.
     `on_batch(start, diag)`, if given, receives each batch's first segment
-    index and its diagnostics from `_forward_values`."""
+    index and its diagnostics from `model.forward`."""
     batch = max(1, EVAL_BATCH_BYTES // (8 * math.prod(x.shape[1:])))
     preds = [np.empty(0, np.intp)]  # an empty x predicts nothing
     for start in range(0, len(x), batch):
-        probs, diag = _forward_values(x[start : start + batch], params, mcfg)
+        probs, diag = forward(x[start : start + batch], params, mcfg)
         preds.append(np.argmax(probs, axis=-1))
         if on_batch is not None:
             on_batch(start, diag)

@@ -10,7 +10,7 @@ import pytest
 
 from hybridgnn import autodiff as ad
 from hybridgnn import data as dat
-from hybridgnn.cli import DEFAULTS, _export_graphs, main, resolve_config, build_parser
+from hybridgnn.cli import DEFAULTS, MODEL_KEYS, _export_graphs, main, resolve_config, build_parser
 from hybridgnn.graphs import common_adjacency
 from hybridgnn.model import load_params
 from hybridgnn.training import FOLD_WORKERS
@@ -384,6 +384,23 @@ def test_export_rerun_leaves_no_file_of_the_earlier_export(tmp_path):
     for name in written:
         assert (out / "graphs" / name).read_bytes() == (fresh / "graphs" / name).read_bytes()
     assert (out / "graphs" / "notes.txt").read_text() == "not the export's"
+
+
+def test_eval_echoes_the_model_of_its_parameter_file(tmp_path):
+    # the fixture is a 4-channel variant-e model with feature_dim 4: the echo
+    # names it, not the flags' variant or the defaults' 19 channels and 32
+    # features, and still runs as --config, with --params left out of it
+    synth = ["--synth", "--synth-subjects", "5", "--synth-seconds", "12", "--synth-fs", "32"]
+    out, again = tmp_path / "ev", tmp_path / "again"
+    assert run("eval", "--out", str(out), "--params", V1_FIXTURE, "--variant", "a", *synth) == 0
+    echo = json.load(open(out / "config.json"))
+    _params, mcfg = load_params(V1_FIXTURE)
+    assert {k: echo[k] for k in MODEL_KEYS} == {k: getattr(mcfg, k) for k in MODEL_KEYS}
+    assert (echo["variant"], echo["n_channels"], echo["feature_dim"]) == ("e", 4, 4)
+    assert "params" not in echo
+    assert run("eval", "--out", str(again), "--params", V1_FIXTURE, "--config", str(out / "config.json")) == 0
+    for name in ("config.json", "metrics.json"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_eval_refuses_params_with_trailing_bytes(tmp_path, capsys):

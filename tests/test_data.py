@@ -9,7 +9,6 @@ import numpy.testing as npt
 import pytest
 
 from hybridgnn import data as dat
-from hybridgnn import extractor as ex
 
 
 def zscored(w):
@@ -17,7 +16,16 @@ def zscored(w):
     (w - mean) / max(std, Z_SCORE_STD_FLOOR), computed apart from the package."""
     mean = w.mean(axis=-1, keepdims=True)
     std = w.std(axis=-1, keepdims=True)
-    return (w - mean) / np.maximum(std, ex.Z_SCORE_STD_FLOOR)
+    return (w - mean) / np.maximum(std, dat.Z_SCORE_STD_FLOOR)
+
+
+def test_zscore_normalizes_rows():
+    rng = np.random.default_rng(12)
+    seg = 5.0 + 3.0 * rng.normal(size=(4, 200))
+    z = dat.zscore_in_place(seg)
+    assert z is seg
+    npt.assert_allclose(z.mean(axis=-1), 0.0, atol=1e-12)
+    npt.assert_allclose(z.std(axis=-1), 1.0, atol=1e-12)
 
 
 def _recording(seconds=300.0, fs=100.0, n=3, subject="s1", label="HC", seed=0):

@@ -175,15 +175,6 @@ def test_layer_chain_validation():
         mdl.ModelConfig(feature_dim=1, extractor_layers=())
 
 
-def test_zscore_normalizes_rows():
-    rng = np.random.default_rng(12)
-    seg = 5.0 + 3.0 * rng.normal(size=(4, 200))
-    z = ex.zscore_in_place(seg)
-    assert z is seg
-    npt.assert_allclose(z.mean(axis=-1), 0.0, atol=1e-12)
-    npt.assert_allclose(z.std(axis=-1), 1.0, atol=1e-12)
-
-
 def _forward_backward_peak(params, seed):
     """tracemalloc peak in bytes of a B=8 19 x 1024 extractor forward and backward."""
     seg = np.random.default_rng(seed).normal(size=(8, 19, 1024))

@@ -51,11 +51,11 @@ def test_single_segment_forward_matches_batched():
         segs = rng.normal(size=(3, 4, 32))
         stacked, diag = mdl.forward_batch(segs, params, cfg)
         for i in range(3):
-            probs, d = mdl.forward(segs[i], params, cfg)
+            probs, d = mdl.forward(segs[i][None], params, cfg)
             # gemm kernels differ across batch sizes, so only near-exact
-            npt.assert_allclose(probs, stacked.value[i], atol=1e-12)
+            npt.assert_allclose(probs[0], stacked.value[i], atol=1e-12)
             if diag["adj_inst"] is not None:
-                npt.assert_allclose(d["adj_inst"], diag["adj_inst"].value[i], atol=1e-12)
+                npt.assert_allclose(d["adj_inst"][0], diag["adj_inst"].value[i], atol=1e-12)
 
 
 def test_segments_are_normalized_exactly_once(monkeypatch):
@@ -167,10 +167,10 @@ def test_variant_b_probs_permutation_invariant():
     cfg = tiny_config("b", n_channels=6)
     params = mdl.init_model(cfg, seed=7)
     seg = rng.normal(size=(6, 32))
-    base, _ = mdl.forward(seg, params, cfg)
+    base, _ = mdl.forward(seg[None], params, cfg)
     for _ in range(10):
-        probs, _ = mdl.forward(seg[rng.permutation(6)], params, cfg)
-        npt.assert_allclose(probs, base, atol=1e-10)
+        probs, _ = mdl.forward(seg[rng.permutation(6)][None], params, cfg)
+        npt.assert_allclose(probs[0], base[0], atol=1e-10)
 
 
 def test_full_model_gradients_tiny_config():

@@ -410,23 +410,38 @@ def test_evaluate_over_a_segment_set_holds_one_batch():
     assert peak < x_bytes, f"evaluate peaked at {peak} B; the set's x is {x_bytes} B"
 
 
-def test_forward_values_record_no_graph(monkeypatch):
-    cfg = tiny_config()
+NO_GRAPH_CONFIGS = {
+    **{variant: dict(variant=variant) for variant in mdl.VARIANTS},
+    "row": dict(inst_softmax_axis="row"),
+    "hidden2": dict(classifier_hidden=2),
+}
+
+
+@pytest.mark.parametrize("over", NO_GRAPH_CONFIGS.values(), ids=NO_GRAPH_CONFIGS.keys())
+def test_forward_values_record_no_graph(monkeypatch, over):
+    cfg = tiny_config(**over)
     params = mdl.init_model(cfg, 6)
     x = _overlapping_set().x[:5]
     recorded = []
-    forward = tr.forward_batch
+    forward_batch = mdl.forward_batch
 
     def spy(*args):
         recorded.append(ad.recording())
-        return forward(*args)
+        return forward_batch(*args)
 
-    monkeypatch.setattr(tr, "forward_batch", spy)
-    probs, diag = tr._forward_values(x, params, cfg)
-    assert recorded == [False] and ad.recording()
-    graph_probs, graph_diag = forward(x, params, cfg)
+    # model.forward looks forward_batch up in its own module, and predict
+    # runs model.forward
+    monkeypatch.setattr(mdl, "forward_batch", spy)
+    probs, diag = mdl.forward(x, params, cfg)
+    preds = tr.predict(params, cfg, x)
+    assert recorded == [False, False] and ad.recording()
+    graph_probs, graph_diag = forward_batch(x, params, cfg)
     assert probs.tobytes() == graph_probs.value.tobytes()
-    assert diag["adj_inst"].tobytes() == graph_diag["adj_inst"].value.tobytes()
+    assert preds.tolist() == np.argmax(probs, axis=-1).tolist()
+    if graph_diag["adj_inst"] is None:
+        assert diag["adj_inst"] is None
+    else:
+        assert diag["adj_inst"].tobytes() == graph_diag["adj_inst"].value.tobytes()
     assert [a.tobytes() for a in diag["assign"]] == [a.value.tobytes() for a in graph_diag["assign"]]
 
 
